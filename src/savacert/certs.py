@@ -1,9 +1,11 @@
 """Certificate and CRL model with strict DER (de)serialization.
 
-Parsing is canonical: a parsed object re-encodes to the exact input bytes
-(checked at parse time), unknown extensions are preserved opaquely, and an
-unknown *critical* extension marks the certificate so validation can reject
-it.  Name comparison folds ASCII case and trims whitespace.
+A certificate or CRL is its DER: it encodes its model once, when built, into
+``der`` and ``tbs_der``, which are hashed, signed and verified as they are.
+Parsing is canonical: a parsed object's ``der`` must equal its input bytes.
+Unknown extensions are preserved opaquely, and an unknown *critical*
+extension marks the certificate so validation can reject it.  Name
+comparison folds ASCII case and trims whitespace.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import crypto, oids
 from .der import (
@@ -27,8 +29,11 @@ from .der import (
     Sequence,
     Set,
     Utf8String,
+    bit_positions,
     decode_exact,
     encode,
+    named_bits,
+    sequence_of_raw,
 )
 
 
@@ -50,19 +55,22 @@ class Name:
     """Ordered attribute list; equality is case/whitespace-insensitive."""
 
     attributes: tuple[tuple[Oid, str], ...]
+    folded: tuple[tuple[Oid, str], ...] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
-    def folded(self) -> tuple[tuple[Oid, str], ...]:
-        return tuple((oid, _fold(v)) for oid, v in self.attributes)
+    def __post_init__(self):
+        folded = tuple((oid, _fold(v)) for oid, v in self.attributes)
+        object.__setattr__(self, "folded", folded)
+        object.__setattr__(self, "_hash", hash(folded))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Name) and self.folded() == other.folded()
+        return isinstance(other, Name) and self.folded == other.folded
 
     def __hash__(self) -> int:
-        return hash(self.folded())
+        return self._hash
 
     def has_prefix(self, prefix: "Name") -> bool:
-        mine = self.folded()
-        theirs = prefix.folded()
+        mine, theirs = self.folded, prefix.folded
         return len(theirs) <= len(mine) and mine[:len(theirs)] == theirs
 
     @classmethod
@@ -241,6 +249,11 @@ class Certificate:
     public_key: bytes
     extensions: Extensions
     signature: bytes
+    der: bytes = field(init=False, compare=False, repr=False)
+    tbs_der: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        _set_der(self, tbs_value(self))
 
     @property
     def has_unknown_critical(self) -> bool:
@@ -266,12 +279,25 @@ class Crl:
     revoked: tuple[RevokedEntry, ...]
     signature_alg: Oid
     signature: bytes
+    der: bytes = field(init=False, compare=False, repr=False)
+    tbs_der: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        _set_der(self, _crl_tbs_value(self))
 
     def entry_for(self, serial: int) -> RevokedEntry | None:
         for entry in self.revoked:
             if entry.serial == serial:
                 return entry
         return None
+
+
+def _set_der(obj, tbs: Sequence) -> None:
+    # encode the TBS once and wrap the signed envelope around those bytes
+    tbs_der = encode(tbs)
+    object.__setattr__(obj, "tbs_der", tbs_der)
+    object.__setattr__(obj, "der", sequence_of_raw(
+        [tbs_der, encode(BitString(obj.signature, 0))]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,29 +329,13 @@ def parse_name_value(value: DerValue) -> Name:
     return Name(tuple(attrs))
 
 
-def _key_usage_value(usages: frozenset) -> BitString:
-    if not usages:
-        return BitString(b"", 0)
-    top = max(int(u) for u in usages)
-    buf = bytearray(top // 8 + 1)
-    for u in usages:
-        buf[int(u) // 8] |= 0x80 >> (int(u) % 8)
-    return BitString(bytes(buf), 8 * len(buf) - top - 1)
-
-
 def _parse_key_usage(value: DerValue) -> frozenset:
     if not isinstance(value, BitString):
         raise StructureMismatch("keyUsage must be a BIT STRING")
-    bits = set()
-    total = 8 * len(value.value) - value.unused_bits
-    for i in range(total):
-        if value.value[i // 8] & (0x80 >> (i % 8)):
-            bits.add(i)
     try:
-        usages = frozenset(KeyUsage(b) for b in bits)
+        return frozenset(KeyUsage(b) for b in bit_positions(value))
     except ValueError as exc:
         raise StructureMismatch(f"unknown keyUsage bit: {exc}") from None
-    return usages
 
 
 def _extension_value(ext: Extension) -> DerValue:
@@ -340,7 +350,7 @@ def _extension_value(ext: Extension) -> DerValue:
             inner.append(Integer(v.path_len))
         return OctetString(encode(Sequence(inner)))
     if oid == oids.EXT_KEY_USAGE:
-        return OctetString(encode(_key_usage_value(v)))
+        return OctetString(encode(named_bits(v)))
     if oid == oids.EXT_CERTIFICATE_POLICIES:
         items = []
         for info in v:
@@ -506,13 +516,9 @@ def parse_extensions_value(value: DerValue) -> Extensions:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _validity_ok(not_before, not_after) -> None:
-    if not_before > not_after:
-        raise InvalidValue("notBefore is after notAfter")
-
-
 def tbs_value(cert: Certificate) -> Sequence:
-    _validity_ok(cert.not_before, cert.not_after)
+    if cert.not_before > cert.not_after:
+        raise InvalidValue("notBefore is after notAfter")
     if cert.serial < 0:
         raise InvalidValue("serial must be non-negative")
     elements = [
@@ -530,15 +536,7 @@ def tbs_value(cert: Certificate) -> Sequence:
     return Sequence(elements)
 
 
-def encode_tbs(cert: Certificate) -> bytes:
-    return encode(tbs_value(cert))
-
-
-def encode_certificate(cert: Certificate) -> bytes:
-    return encode(Sequence([tbs_value(cert), BitString(cert.signature, 0)]))
-
-
-def _parse_tbs(value: DerValue) -> Certificate:
+def _parse_tbs(value: DerValue, signature: bytes) -> Certificate:
     if not isinstance(value, Sequence) or len(value.elements) not in (7, 8):
         raise StructureMismatch("bad TBS certificate shape")
     e = value.elements
@@ -573,19 +571,22 @@ def _parse_tbs(value: DerValue) -> Certificate:
         version=3, serial=e[1].value, signature_alg=e[2], issuer=issuer,
         not_before=not_before, not_after=not_after, subject=subject,
         public_key_alg=e[6].elements[0], public_key=e[6].elements[1].value,
-        extensions=extensions, signature=b"")
+        extensions=extensions, signature=signature)
 
 
-def parse_certificate_value(value: DerValue) -> Certificate:
+def _certificate(value: DerValue, encoded: bytes) -> Certificate:
     if not (isinstance(value, Sequence) and len(value.elements) == 2
             and isinstance(value.elements[1], BitString)
             and value.elements[1].unused_bits == 0):
         raise StructureMismatch("bad certificate envelope")
-    bare = _parse_tbs(value.elements[0])
-    cert = dataclasses.replace(bare, signature=value.elements[1].value)
-    if encode(certificate_value(cert)) != encode(value):
+    cert = _parse_tbs(value.elements[0], value.elements[1].value)
+    if cert.der != encoded:
         raise StructureMismatch("certificate does not re-encode canonically")
     return cert
+
+
+def parse_certificate_value(value: DerValue) -> Certificate:
+    return _certificate(value, encode(value))
 
 
 def certificate_value(cert: Certificate) -> Sequence:
@@ -593,11 +594,12 @@ def certificate_value(cert: Certificate) -> Sequence:
 
 
 def parse_certificate(data: bytes) -> Certificate:
-    return parse_certificate_value(decode_exact(data))
+    # the decoder accepts only DER, so ``data`` is the encoding of its value
+    return _certificate(decode_exact(data), bytes(data))
 
 
 def fingerprint(cert: Certificate) -> bytes:
-    return crypto.digest(crypto.SHA256, encode_certificate(cert))
+    return crypto.digest(crypto.SHA256, cert.der)
 
 
 def check_signature(cert: Certificate, issuer_public_key: bytes) -> bool:
@@ -607,7 +609,7 @@ def check_signature(cert: Certificate, issuer_public_key: bytes) -> bool:
     except crypto.UnknownAlgorithm:
         return False
     try:
-        return crypto.verify(issuer_public_key, alg, encode_tbs(cert),
+        return crypto.verify(issuer_public_key, alg, cert.tbs_der,
                              cert.signature)
     except crypto.MalformedKey:
         return False
@@ -624,7 +626,7 @@ def sign_certificate(*, serial: int, issuer: Name, subject: Name,
         issuer=issuer, not_before=not_before, not_after=not_after,
         subject=subject, public_key_alg=public_key_alg, public_key=public_key,
         extensions=extensions, signature=b"")
-    signature = crypto.sign(issuer_key, encode_tbs(cert))
+    signature = crypto.sign(issuer_key, cert.tbs_der)
     return dataclasses.replace(cert, signature=signature)
 
 
@@ -650,19 +652,11 @@ def _crl_tbs_value(crl: Crl) -> Sequence:
     ])
 
 
-def encode_crl_tbs(crl: Crl) -> bytes:
-    return encode(_crl_tbs_value(crl))
-
-
 def crl_value(crl: Crl) -> Sequence:
     return Sequence([_crl_tbs_value(crl), BitString(crl.signature, 0)])
 
 
-def encode_crl(crl: Crl) -> bytes:
-    return encode(crl_value(crl))
-
-
-def parse_crl_value(value: DerValue) -> Crl:
+def _crl(value: DerValue, encoded: bytes) -> Crl:
     if not (isinstance(value, Sequence) and len(value.elements) == 2
             and isinstance(value.elements[1], BitString)
             and value.elements[1].unused_bits == 0):
@@ -697,19 +691,23 @@ def parse_crl_value(value: DerValue) -> Crl:
         raise StructureMismatch("revoked serials must be strictly increasing")
     crl = Crl(issuer, this_update, next_update, tuple(entries),
               tbs.elements[4], value.elements[1].value)
-    if encode(crl_value(crl)) != encode(value):
+    if crl.der != encoded:
         raise StructureMismatch("CRL does not re-encode canonically")
     return crl
 
 
+def parse_crl_value(value: DerValue) -> Crl:
+    return _crl(value, encode(value))
+
+
 def parse_crl(data: bytes) -> Crl:
-    return parse_crl_value(decode_exact(data))
+    return _crl(decode_exact(data), bytes(data))
 
 
 def check_crl_signature(crl: Crl, issuer_public_key: bytes) -> bool:
     try:
         alg = crypto.signature_algorithm(crl.signature_alg)
-        return crypto.verify(issuer_public_key, alg, encode_crl_tbs(crl),
+        return crypto.verify(issuer_public_key, alg, crl.tbs_der,
                              crl.signature)
     except (crypto.UnknownAlgorithm, crypto.MalformedKey):
         return False
@@ -721,5 +719,5 @@ def sign_crl(*, issuer: Name, this_update: datetime.datetime,
              issuer_key: crypto.KeyPair) -> Crl:
     crl = Crl(issuer, this_update, next_update, tuple(revoked),
               issuer_key.algorithm.oid, b"")
-    signature = crypto.sign(issuer_key, encode_crl_tbs(crl))
+    signature = crypto.sign(issuer_key, crl.tbs_der)
     return dataclasses.replace(crl, signature=signature)

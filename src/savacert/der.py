@@ -446,3 +446,21 @@ def explicit_tag_raw(number: int, inner_der: bytes) -> bytes:
     if not 0 <= number <= 30:
         raise InvalidValue(f"context tag number {number} out of range")
     return _tlv(0xA0 | number, inner_der)
+
+
+def named_bits(positions) -> BitString:
+    """BIT STRING with the given bit positions set, trailing zeros dropped."""
+    bits = {int(p) for p in positions}
+    if not bits:
+        return BitString(b"", 0)
+    top = max(bits)
+    buf = bytearray(top // 8 + 1)
+    for b in bits:
+        buf[b // 8] |= 0x80 >> (b % 8)
+    return BitString(bytes(buf), 8 * len(buf) - top - 1)
+
+
+def bit_positions(value: BitString) -> set[int]:
+    """Positions of the set bits of a BIT STRING."""
+    total = 8 * len(value.value) - value.unused_bits
+    return {i for i in range(total) if value.value[i // 8] & (0x80 >> (i % 8))}

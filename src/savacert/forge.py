@@ -27,8 +27,6 @@ from .certs import (
     ReasonCode,
     RevokedEntry,
     check_signature,
-    encode_certificate,
-    encode_crl,
     fingerprint,
     make_extensions,
     sign_certificate,
@@ -292,7 +290,7 @@ def forge(spec: TopologySpec, out_dir: "Path | str") -> RepositoryLayout:
             issuer_key=keys[issuer_label])
         certificates[(subject_label, issuer_label)] = cert
         path = out / "certs" / f"{subject_label}__{issuer_label}.der"
-        path.write_bytes(encode_certificate(cert))
+        path.write_bytes(cert.der)
         layout.certs[(subject_label, issuer_label)] = path
 
     revoked_by_issuer: dict[str, list[RevokedEntry]] = {}
@@ -317,7 +315,7 @@ def forge(spec: TopologySpec, out_dir: "Path | str") -> RepositoryLayout:
             next_update=EPOCH.replace(year=EPOCH.year + CA_LIFETIME),
             revoked=entries, issuer_key=keys[issuer_label])
         path = out / "crls" / f"{issuer_label}.crl"
-        path.write_bytes(encode_crl(crl))
+        path.write_bytes(crl.der)
         layout.crls[issuer_label] = path
 
     lines = []

@@ -11,6 +11,7 @@ lives in docs/wire.md.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import enum
 import secrets
@@ -41,9 +42,11 @@ from .der import (
     Oid,
     Sequence,
     Utf8String,
+    bit_positions,
     decode_exact,
     encode,
     explicit_tag_raw,
+    named_bits,
     sequence_of_raw,
 )
 from .policytree import CprRequirement
@@ -124,48 +127,43 @@ class RequestInformation:
                 return ext
         return None
 
-    def intended_usage(self) -> str | None:
-        ext = self.extension(oids.REQ_INTENDED_USAGE)
+    def _payload(self, oid: Oid, kind, complaint: str):
+        """The extension's decoded value, or None when it is absent."""
+        ext = self.extension(oid)
         if ext is None:
             return None
         value = decode_exact(ext.value)
-        if not isinstance(value, Utf8String):
-            raise ProtocolError("intendedUsage must be a UTF8String")
-        return value.value
+        if not isinstance(value, kind):
+            raise ProtocolError(complaint)
+        return value
+
+    def intended_usage(self) -> str | None:
+        value = self._payload(oids.REQ_INTENDED_USAGE, Utf8String,
+                              "intendedUsage must be a UTF8String")
+        return None if value is None else value.value
 
     def supplied_chains(self) -> tuple[Certificate, ...]:
-        ext = self.extension(oids.REQ_SUPPLIED_CHAINS)
-        if ext is None:
+        value = self._payload(oids.REQ_SUPPLIED_CHAINS, Sequence,
+                              "suppliedChains must be a SEQUENCE")
+        if value is None:
             return ()
-        value = decode_exact(ext.value)
-        if not isinstance(value, Sequence):
-            raise ProtocolError("suppliedChains must be a SEQUENCE")
         return tuple(parse_certificate_value(c) for c in value.elements)
 
     def want_backs(self) -> frozenset | None:
         """None when the extension is absent (server default applies)."""
-        ext = self.extension(oids.REQ_WANT_BACKS)
-        if ext is None:
+        value = self._payload(oids.REQ_WANT_BACKS, BitString,
+                              "wantBacks must be a BIT STRING")
+        if value is None:
             return None
-        value = decode_exact(ext.value)
-        if not isinstance(value, BitString):
-            raise ProtocolError("wantBacks must be a BIT STRING")
-        total = 8 * len(value.value) - value.unused_bits
-        bits = {i for i in range(total)
-                if value.value[i // 8] & (0x80 >> (i % 8))}
         try:
-            return frozenset(WantBack(b) for b in bits)
+            return frozenset(WantBack(b) for b in bit_positions(value))
         except ValueError as exc:
             raise ProtocolError(f"unknown want-back bit: {exc}") from None
 
     def time_override(self) -> datetime.datetime | None:
-        ext = self.extension(oids.REQ_TIME_OVERRIDE)
-        if ext is None:
-            return None
-        value = decode_exact(ext.value)
-        if not isinstance(value, GeneralizedTime):
-            raise ProtocolError("validationTimeOverride must be a time")
-        return value.value
+        value = self._payload(oids.REQ_TIME_OVERRIDE, GeneralizedTime,
+                              "validationTimeOverride must be a time")
+        return None if value is None else value.value
 
 
 @dataclass(frozen=True)
@@ -349,8 +347,7 @@ def encode_info(info: RequestInformation) -> bytes:
 def _request_body_der(request: ValidationRequest) -> bytes:
     info_der = encode_info(request.info)
     targets_der = sequence_of_raw(
-        t if isinstance(t, (bytes, bytearray)) else
-        encode(certificate_value(t))
+        t if isinstance(t, (bytes, bytearray)) else t.der
         for t in request.targets)
     tail = encode(Sequence([Oid(o.arcs) for o in request.acceptable_set]))
     tail += encode(Boolean(request.explicit_policy_required))
@@ -365,14 +362,10 @@ def encode_request(request: ValidationRequest) -> bytes:
     parts = [body]
     if request.signature is not None:
         sig = request.signature
-        parts.append(encode(ContextTagged(0, Sequence([
-            certificate_value(sig.signer), sig.algorithm,
-            BitString(sig.value, 0)]))))
-    return _tag_envelope(_KIND_REQUEST, sequence_of_raw(parts))
-
-
-def _tag_envelope(kind: int, inner_der: bytes) -> bytes:
-    return explicit_tag_raw(kind, inner_der)
+        parts.append(explicit_tag_raw(0, sequence_of_raw([
+            sig.signer.der, encode(sig.algorithm),
+            encode(BitString(sig.value, 0))])))
+    return explicit_tag_raw(_KIND_REQUEST, sequence_of_raw(parts))
 
 
 def _open_envelope(data: bytes) -> tuple[int, DerValue]:
@@ -408,11 +401,10 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
     if supplied_chains:
         extensions.append(RequestExtension(
             oids.REQ_SUPPLIED_CHAINS, False,
-            sequence_of_raw(encode(certificate_value(c))
-                            for c in supplied_chains)))
+            sequence_of_raw(c.der for c in supplied_chains)))
     if want_backs is not None:
         extensions.append(RequestExtension(
-            oids.REQ_WANT_BACKS, False, encode(_want_backs_value(want_backs))))
+            oids.REQ_WANT_BACKS, False, encode(named_bits(want_backs))))
     if time_override is not None:
         extensions.append(RequestExtension(
             oids.REQ_TIME_OVERRIDE, False,
@@ -430,25 +422,9 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
         if signer_cert is None:
             raise ProtocolError("request signing needs the signer certificate")
         value = crypto.sign(signer_key, _request_body_der(request))
-        request = ValidationRequest(
-            info=info, targets=request.targets,
-            acceptable_set=request.acceptable_set,
-            explicit_policy_required=request.explicit_policy_required,
-            inhibit_policy_mapping=request.inhibit_policy_mapping,
-            signature=RequestSignature(signer_cert,
-                                       signer_key.algorithm.oid, value))
+        request = dataclasses.replace(request, signature=RequestSignature(
+            signer_cert, signer_key.algorithm.oid, value))
     return request
-
-
-def _want_backs_value(want_backs) -> BitString:
-    bits = {int(w) for w in want_backs}
-    if not bits:
-        return BitString(b"", 0)
-    top = max(bits)
-    buf = bytearray(top // 8 + 1)
-    for b in bits:
-        buf[b // 8] |= 0x80 >> (b % 8)
-    return BitString(bytes(buf), 8 * len(buf) - top - 1)
 
 
 def parse_request(data: bytes) -> ValidationRequest:
@@ -638,12 +614,12 @@ def _signed_envelope(kind: int, info_der: bytes,
                      signature: tuple[Oid, bytes] | None) -> bytes:
     parts = [info_der]
     if signer is not None:
-        parts.append(encode(ContextTagged(0, certificate_value(signer))))
+        parts.append(explicit_tag_raw(0, signer.der))
     if signature is not None:
         alg, value = signature
         parts.append(encode(ContextTagged(1, Sequence(
             [alg, BitString(value, 0)]))))
-    return _tag_envelope(kind, sequence_of_raw(parts))
+    return explicit_tag_raw(kind, sequence_of_raw(parts))
 
 
 def sign_dvc(info: DvcInfo, signer: Certificate,

@@ -16,13 +16,7 @@ import urllib.request
 from dataclasses import dataclass
 
 from . import crypto
-from .certs import (
-    Certificate,
-    Crl,
-    Name,
-    ReasonCode,
-    name_value,
-)
+from .certs import Certificate, Crl, Name, ReasonCode, name_value
 from .der import (
     BitString,
     DecodeError,
@@ -98,6 +92,16 @@ def _status_against_crl(crl: Crl, serial: int,
     if entry is not None:
         return StatusValue.UNDETERMINED, None, None, CAUSE_FUTURE_REVOCATION
     return StatusValue.GOOD, None, None, None
+
+
+def crl_for_time(crls: list[Crl], serial: int, at: datetime.datetime) -> Crl:
+    """From non-empty ``crls``, freshest first: the freshest that revokes
+    ``serial`` by ``at``, else the freshest whose window covers ``at``, else
+    the freshest."""
+    revoking = [c for c in crls if (e := c.entry_for(serial)) is not None
+                and e.revocation_date <= at]
+    covering = [c for c in crls if c.this_update <= at <= c.next_update]
+    return (revoking + covering + crls)[0]
 
 
 def check_crl(cert: Certificate, crl: Crl,
@@ -236,5 +240,6 @@ def responder_status(crls_for_digest, digest: bytes, serial: int,
     if not crls:
         return CertStatus(StatusValue.UNDETERMINED, "online", None,
                           cause=CAUSE_UNKNOWN_ISSUER)
-    value, date, reason, cause = _status_against_crl(crls[0], serial, at)
+    value, date, reason, cause = _status_against_crl(
+        crl_for_time(crls, serial, at), serial, at)
     return CertStatus(value, "online", None, date, reason, cause)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import signal
 import sys
 import threading
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from . import crypto, oids, protocol, revocation
-from .certs import Certificate, Name, StructureMismatch, parse_certificate
+from . import crypto, der, oids, protocol, revocation
+from .certs import Name, StructureMismatch, parse_certificate
 from .config import ConfigError, parse_bool, parse_sections, split_list
 from .der import DerError, Oid, parse_time
 from .pathbuild import NoPathFound, UnorderableSet, supplied_chain
@@ -34,7 +35,7 @@ from .protocol import (
     ValidationRequest,
     WantBack,
 )
-from .revocation import STATUS_CONTENT_TYPE, issuer_digest
+from .revocation import STATUS_CONTENT_TYPE
 from .storage import Clock, Repository
 from .validation import RevocationConfig, Verdict, validate_target
 
@@ -107,11 +108,8 @@ def _parse_policy(section) -> ValidationPolicy:
                     f"policy {label}: usage entries need a name and a "
                     f"non-empty policy set")
             usage_table[usage] = policies
-    want = frozenset(
-        _WANT_BACK_NAMES[w] for w in split_list(section.get("want_backs", ""))
-        if w in _WANT_BACK_NAMES)
-    unknown_wants = [w for w in split_list(section.get("want_backs", ""))
-                     if w not in _WANT_BACK_NAMES]
+    wants = split_list(section.get("want_backs", ""))
+    unknown_wants = [w for w in wants if w not in _WANT_BACK_NAMES]
     if unknown_wants:
         raise ConfigError(f"policy {label}: unknown want-back "
                           f"{unknown_wants[0]!r}")
@@ -130,7 +128,7 @@ def _parse_policy(section) -> ValidationPolicy:
         allow_supplied_chains=parse_bool(
             section.get("allow_supplied_chains", "true"),
             where=f"policy {label}"),
-        default_want_backs=want,
+        default_want_backs=frozenset(_WANT_BACK_NAMES[w] for w in wants),
         usage_table=usage_table,
         is_default=parse_bool(section.get("default", "false"),
                               where=f"policy {label}"),
@@ -202,32 +200,20 @@ def load_server_config(path: "Path | str") -> ServerConfig:
     return parse_server_config(path.read_text(), path.parent)
 
 
-class _Snapshot:
-    """One immutable view of the repository with derived indexes."""
-
-    def __init__(self, repository: Repository):
-        self.repository = repository
-        self.anchors_by_label = {e.label: e for e in repository.anchors}
-        self.crls_by_digest = {
-            issuer_digest(name): repository.crls_for(name)
-            for name in repository.crls_by_issuer
-        }
-
-    def policy_anchors(self, policy: ValidationPolicy,
-                       usage: str | None = None) -> frozenset:
-        if policy.anchor_labels == ("*",):
-            entries = list(self.repository.anchors)
-        else:
-            entries = []
-            for label in policy.anchor_labels:
-                entry = self.anchors_by_label.get(label)
-                if entry is None:
-                    raise ConfigError(f"policy {policy.label}: anchor "
-                                      f"{label!r} not in manifest")
-                entries.append(entry)
-        if usage is not None:
-            entries = [e for e in entries if e.trusted_for(usage)]
-        return frozenset(e.fingerprint for e in entries)
+def policy_anchors(repository: Repository, policy: ValidationPolicy,
+                   usage: str | None = None) -> frozenset:
+    """Fingerprints of the policy's trust anchors in one repository
+    snapshot, restricted to those trusted for ``usage`` when given."""
+    entries = repository.anchors
+    if policy.anchor_labels != ("*",):
+        by_label = {e.label: e for e in entries}
+        for label in policy.anchor_labels:
+            if label not in by_label:
+                raise ConfigError(f"policy {policy.label}: anchor "
+                                  f"{label!r} not in manifest")
+        entries = [by_label[label] for label in policy.anchor_labels]
+    return frozenset(e.fingerprint for e in entries
+                     if usage is None or e.trusted_for(usage))
 
 
 class _SerialCounter:
@@ -246,7 +232,10 @@ class _SerialCounter:
     def next(self) -> int:
         with self._lock:
             self._value += 1
-            self._path.write_text(f"{self._value}\n")
+            # os.replace swaps in the whole file; a torn write stays in .tmp
+            partial = self._path.with_name(self._path.name + ".tmp")
+            partial.write_text(f"{self._value}\n")
+            os.replace(partial, self._path)
             return self._value
 
 
@@ -268,9 +257,9 @@ class CvsServer:
             parse_certificate(config.responder_cert_path.read_bytes())
             if config.responder_cert_path is not None else self.certificate)
         self.serials = _SerialCounter(config.serial_state)
-        self._snapshot = _Snapshot(Repository.load(config.repository))
+        self.repository = Repository.load(config.repository)
         for policy in config.policies.values():
-            if not self._snapshot.policy_anchors(policy):
+            if not policy_anchors(self.repository, policy):
                 raise ConfigError(f"policy {policy.label}: empty anchor set")
             if policy.revocation in ("online", "crl-then-online") \
                     and not config.responder_url:
@@ -279,13 +268,9 @@ class CvsServer:
 
     # -- repository ---------------------------------------------------------
 
-    @property
-    def snapshot(self) -> _Snapshot:
-        return self._snapshot
-
     def reload_repository(self) -> None:
         # requests hold a reference to one snapshot; swapping is atomic
-        self._snapshot = _Snapshot(Repository.load(self.config.repository))
+        self.repository = Repository.load(self.config.repository)
 
     # -- admission ----------------------------------------------------------
 
@@ -379,7 +364,7 @@ class CvsServer:
     def handle(self, request: ValidationRequest, policy: ValidationPolicy,
                now) -> DvcInfo:
         """Validate every target sequentially, in request order."""
-        snapshot = self._snapshot
+        repository = self.repository
         at = request.info.time_override() or now
         usage = request.info.intended_usage()
         if usage is not None:
@@ -387,20 +372,18 @@ class CvsServer:
             cpr = CprRequirement.strict(acceptable,
                                         request.explicit_policy_required,
                                         request.inhibit_policy_mapping)
-            anchors = snapshot.policy_anchors(policy, usage)
+            anchors = policy_anchors(repository, policy, usage)
             if not anchors:
                 raise UnknownUsage(usage)
         else:
             cpr = CprRequirement.strict(request.acceptable_set,
                                         request.explicit_policy_required,
                                         request.inhibit_policy_mapping)
-            anchors = snapshot.policy_anchors(policy)
+            anchors = policy_anchors(repository, policy)
 
         extras = request.info.supplied_chains()
-        targets = [t if isinstance(t, Certificate) else parse_certificate(t)
-                   for t in request.targets]
-        graph = snapshot.repository.graph(anchors).with_extra(
-            list(targets) + list(extras))
+        targets = request.targets  # parse_request yields Certificates
+        graph = repository.graph(anchors).with_extra([*targets, *extras])
         revocation_config = self._revocation_config(policy)
         want = request.info.want_backs()
         if want is None:
@@ -417,8 +400,7 @@ class CvsServer:
                     candidates = None  # fall back to discovery
             verdict = validate_target(
                 graph, target, at, cpr, revocation_config,
-                snapshot.repository.crls_for, policy.max_chain_length,
-                candidates)
+                repository.crls_for, policy.max_chain_length, candidates)
             results.append(TargetResult(
                 target_fingerprint=protocol.target_fingerprint(target),
                 status=verdict.status,
@@ -474,24 +456,31 @@ class CvsServer:
 
     def handle_status_bytes(self, body: bytes) -> bytes:
         now = self.config.clock.now()
-        snapshot = self._snapshot
         digest, serial, _nonce = revocation.parse_status_query(body)
         status = revocation.responder_status(
-            lambda d: snapshot.crls_by_digest.get(d, []), digest, serial, now)
+            self.repository.crls_by_digest.get, digest, serial, now)
         return revocation.build_status_reply(body, status, now, self.key)
 
 
 # ---------------------------------------------------------------------------
 # HTTP front end
 
+# the largest body der.decode can accept: one tag octet, at most four length
+# octets, and the per-element content bound
+MAX_BODY = 1 + 4 + der.MAX_ELEMENT
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "savacert-cvs/0.1"
     protocol_version = "HTTP/1.1"
 
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
+    def _send(self, status: int, content_type: str, body: bytes,
+              close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -502,7 +491,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, "text/plain", b"not found\n")
 
     def do_POST(self):  # noqa: N802
-        length = int(self.headers.get("Content-Length", "0"))
+        # a rejected body is never read, so the connection cannot be reused
+        text = self.headers.get("Content-Length", "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            self._send(400, "text/plain", b"bad Content-Length\n", close=True)
+            return
+        length = int(text)
+        if length > MAX_BODY:
+            self._send(413, "text/plain", b"body too large\n", close=True)
+            return
         body = self.rfile.read(length)
         core: CvsServer = self.server.core  # type: ignore[attr-defined]
         if self.path == "/dvcs":

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .certs import Certificate, Crl, Name, fingerprint, parse_certificate, parse_crl
 from .pathbuild import CertGraph
+from .revocation import issuer_digest
 
 
 class RepositoryError(Exception):
@@ -53,7 +54,9 @@ class Repository:
 
     root: Path
     certificates: dict[bytes, Certificate] = field(default_factory=dict)
+    # CRL lists are sorted freshest first; both maps share each list
     crls_by_issuer: dict[Name, list[Crl]] = field(default_factory=dict)
+    crls_by_digest: dict[bytes, list[Crl]] = field(default_factory=dict)
     anchors: list[AnchorEntry] = field(default_factory=list)
 
     @classmethod
@@ -77,6 +80,9 @@ class Repository:
                 except Exception as exc:
                     raise RepositoryError(f"{path}: {exc}") from exc
                 repo.crls_by_issuer.setdefault(crl.issuer, []).append(crl)
+        for issuer, crls in repo.crls_by_issuer.items():
+            crls.sort(key=lambda c: c.this_update, reverse=True)
+            repo.crls_by_digest[issuer_digest(issuer)] = crls
         manifest = root / "anchors.txt"
         if manifest.is_file():
             repo.anchors = parse_anchor_manifest(manifest.read_text())
@@ -97,9 +103,7 @@ class Repository:
 
     def crls_for(self, issuer: Name) -> list[Crl]:
         """CRLs claiming the given issuer, freshest first."""
-        found = list(self.crls_by_issuer.get(issuer, []))
-        found.sort(key=lambda c: c.this_update, reverse=True)
-        return found
+        return self.crls_by_issuer.get(issuer, [])
 
 
 @dataclass

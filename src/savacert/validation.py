@@ -105,7 +105,8 @@ def _revocation_status(cert: Certificate, at, issuer_key: bytes,
             return revocation.CertStatus(
                 revocation.StatusValue.UNDETERMINED, "crl", None,
                 cause=revocation.CAUSE_NO_CRL)
-        return revocation.check_crl(cert, verified[0], at)
+        return revocation.check_crl(
+            cert, revocation.crl_for_time(verified, cert.serial, at), at)
 
     def by_responder():
         try:

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from savacert import crypto, oids
+from savacert import certs, crypto, oids
 from savacert.certs import (
     BasicConstraints,
     Extension,
@@ -20,19 +20,27 @@ from savacert.certs import (
     RevokedEntry,
     StructureMismatch,
     UnsupportedVersion,
+    certificate_value,
     check_crl_signature,
     check_signature,
-    encode_certificate,
-    encode_crl,
-    encode_tbs,
     fingerprint,
     make_extensions,
     parse_certificate,
+    parse_certificate_value,
     parse_crl,
     sign_certificate,
     sign_crl,
+    tbs_value,
 )
-from savacert.der import InvalidValue, Oid, encode, Sequence, Integer
+from savacert.der import (
+    BitString,
+    Integer,
+    InvalidValue,
+    Oid,
+    Sequence,
+    decode_exact,
+    encode,
+)
 
 UTC = datetime.timezone.utc
 EPOCH = datetime.datetime(2025, 1, 1, tzinfo=UTC)
@@ -64,15 +72,46 @@ def make_cert(**overrides):
 
 def test_certificate_roundtrip_byte_identical():
     cert = make_cert()
-    raw = encode_certificate(cert)
+    raw = cert.der
+    assert raw == encode(certificate_value(cert))
+    assert cert.tbs_der == encode(tbs_value(cert))
     parsed = parse_certificate(raw)
     assert parsed == cert
-    assert encode_certificate(parsed) == raw
+    assert encode(certificate_value(parsed)) == raw
+
+
+def test_noncanonical_certificate_rejected():
+    # a keyUsage BIT STRING with a redundant trailing octet is valid DER,
+    # but the parsed model re-encodes it minimally
+    padded = Extension(oids.EXT_KEY_USAGE, True,
+                       encode(BitString(b"\x04\x00", 0)))
+    cert = make_cert(extensions=Extensions((padded,)))
+    with pytest.raises(StructureMismatch, match="canonical"):
+        parse_certificate(cert.der)
+    with pytest.raises(StructureMismatch, match="canonical"):
+        parse_certificate_value(decode_exact(cert.der))
+
+
+def test_parsed_objects_never_encode_to_hash_or_verify(monkeypatch):
+    cert = parse_certificate(make_cert().der)
+    crl = parse_crl(sign_crl(issuer=ROOT_NAME, this_update=EPOCH,
+                             next_update=LATER, revoked=(),
+                             issuer_key=ROOT_KEY).der)
+
+    def no_encode(value):
+        raise AssertionError("certs re-encoded a parsed object")
+
+    monkeypatch.setattr(certs, "encode", no_encode)
+    assert fingerprint(cert) == hashlib.sha256(cert.der).digest()
+    assert check_signature(cert, ROOT_KEY.public_key)
+    assert not check_signature(cert, OTHER_KEY.public_key)
+    assert check_crl_signature(crl, ROOT_KEY.public_key)
+    assert not check_crl_signature(crl, OTHER_KEY.public_key)
 
 
 def test_fingerprint_stable_and_sensitive():
     cert = make_cert()
-    raw = encode_certificate(cert)
+    raw = cert.der
     assert fingerprint(cert) == fingerprint(parse_certificate(raw))
     assert fingerprint(cert) == hashlib.sha256(raw).digest()
     other = make_cert(serial=2)
@@ -86,12 +125,12 @@ def test_signature_check_and_tamper():
     # flip one byte of the to-be-signed portion via a field change
     altered = dataclasses.replace(cert, serial=cert.serial + 1)
     assert not check_signature(altered, ROOT_KEY.public_key)
-    assert encode_tbs(altered) != encode_tbs(cert)
+    assert altered.tbs_der != cert.tbs_der
 
 
 def test_unsupported_version():
     cert = make_cert()
-    raw = bytearray(encode_certificate(cert))
+    raw = bytearray(cert.der)
     # version INTEGER 3 is the first primitive in the TBS; patch it to 2
     index = raw.index(b"\x02\x01\x03")
     raw[index + 2] = 2
@@ -104,13 +143,13 @@ def test_unknown_critical_extension_flag():
     cert = make_cert(extensions=Extensions(
         make_extensions(basic_constraints=BasicConstraints(True)).entries
         + (extra,)))
-    parsed = parse_certificate(encode_certificate(cert))
+    parsed = parse_certificate(cert.der)
     assert parsed.has_unknown_critical
     noncritical = Extension(Oid("1.2.3.4.5"), False, b"\x05\x00")
     cert2 = make_cert(extensions=Extensions(
         make_extensions(basic_constraints=BasicConstraints(True)).entries
         + (noncritical,)))
-    parsed2 = parse_certificate(encode_certificate(cert2))
+    parsed2 = parse_certificate(cert2.der)
     assert not parsed2.has_unknown_critical
     assert parsed2.extensions.entries[-1].value == b"\x05\x00"
 
@@ -131,7 +170,7 @@ def test_duplicate_extension_rejected():
 def test_crl_roundtrip_and_order():
     empty = sign_crl(issuer=ROOT_NAME, this_update=EPOCH, next_update=LATER,
                      revoked=(), issuer_key=ROOT_KEY)
-    assert parse_crl(encode_crl(empty)) == empty
+    assert parse_crl(empty.der) == empty
 
     entries = (
         RevokedEntry(2, EPOCH, ReasonCode.KEY_COMPROMISE),
@@ -140,7 +179,7 @@ def test_crl_roundtrip_and_order():
     )
     crl = sign_crl(issuer=ROOT_NAME, this_update=EPOCH, next_update=LATER,
                    revoked=entries, issuer_key=ROOT_KEY)
-    parsed = parse_crl(encode_crl(crl))
+    parsed = parse_crl(crl.der)
     assert parsed.revoked == entries
     assert check_crl_signature(parsed, ROOT_KEY.public_key)
     assert not check_crl_signature(parsed, OTHER_KEY.public_key)
@@ -222,7 +261,7 @@ def test_unknown_signature_algorithm_never_crashes():
     # simply fails verification
     cert = make_cert()
     odd = dataclasses.replace(cert, signature_alg=Oid("1.2.3.4.5.6"))
-    parsed = parse_certificate(encode_certificate(odd))
+    parsed = parse_certificate(odd.der)
     assert parsed.signature_alg == Oid("1.2.3.4.5.6")
     assert not check_signature(parsed, ROOT_KEY.public_key)
 

@@ -1,9 +1,11 @@
 import datetime
+import shutil
 
 import pytest
 
-from savacert import crypto, revocation
-from savacert.certs import ReasonCode, parse_crl
+from savacert import crypto, protocol, revocation, server as cvs
+from savacert.certs import ReasonCode, RevokedEntry, parse_crl, sign_crl
+from savacert.policytree import CprRequirement
 from savacert.revocation import (
     BadResponderSignature,
     CertStatus,
@@ -20,8 +22,9 @@ from savacert.revocation import (
     verify_status_reply,
 )
 from savacert.storage import Repository
+from savacert.validation import FailureReason, VerdictStatus
 
-from conftest import NOW
+from conftest import NOW, make_server_config
 
 UTC = datetime.timezone.utc
 
@@ -171,3 +174,97 @@ def test_crl_and_online_agree_per_scenario(scenarios, server_factory):
             assert via_crl.value == via_online.value, (name, subject)
             assert via_crl.revocation_date == via_online.revocation_date
             assert via_crl.reason == via_online.reason
+
+
+NEWER = datetime.datetime(2025, 6, 1, tzinfo=UTC)
+LATER = datetime.datetime(2035, 1, 1, tzinfo=UTC)
+
+
+def _sub_crl(scenarios, this_update, next_update, revoked=()):
+    layout = scenarios.layout("happy3")
+    key = crypto.decode_key(layout.keys["sub"].read_bytes())
+    sub = scenarios.cert("happy3", "sub", "root")
+    return sign_crl(issuer=sub.subject, this_update=this_update,
+                    next_update=next_update, revoked=revoked, issuer_key=key)
+
+
+def _revoked_ee(scenarios, date):
+    ee = scenarios.cert("happy3", "ee", "sub")
+    return (RevokedEntry(ee.serial, date, ReasonCode.KEY_COMPROMISE),)
+
+
+def _validate_with_extra_crl(scenarios, server_identity, tmp_path, extra):
+    """Result for happy3's ee at NOW, with ``extra`` stored next to the
+    original CRL for sub."""
+    repo = tmp_path / "repo"
+    shutil.copytree(scenarios.layout("happy3").out_dir, repo)
+    (repo / "crls" / "sub-newer.crl").write_bytes(extra.der)
+    state = tmp_path / "state"
+    state.mkdir()
+    core = cvs.CvsServer(cvs.parse_server_config(
+        make_server_config(repo, state, server_identity), tmp_path))
+    request = protocol.build_request(
+        targets=[scenarios.cert("happy3", "ee", "sub")],
+        cpr=CprRequirement.any_policy(), now=NOW, time_override=NOW)
+    response = protocol.parse_response(
+        core.handle_dvcs_bytes(protocol.encode_request(request)))
+    result = response.info.results[0]
+    return result.status, result.reason
+
+
+def test_crl_chosen_for_validation_time(scenarios, server_identity,
+                                        tmp_path):
+    # a second, newer CRL for sub does not yet cover the requested time;
+    # the original one does, so the chain validates
+    newer = _sub_crl(scenarios, NEWER, LATER)
+    assert _validate_with_extra_crl(scenarios, server_identity, tmp_path,
+                                    newer) == (VerdictStatus.VALID, None)
+
+
+def test_newer_crl_revocation_wins(scenarios, server_identity, tmp_path):
+    # the newer CRL does not cover NOW, but it revokes ee before NOW
+    newer = _sub_crl(scenarios, NEWER, LATER,
+                     _revoked_ee(scenarios, NOW - datetime.timedelta(days=5)))
+    assert _validate_with_extra_crl(scenarios, server_identity, tmp_path,
+                                    newer) == (VerdictStatus.INVALID,
+                                               FailureReason.REVOKED)
+    original = parse_crl(scenarios.layout("happy3").crls["sub"].read_bytes())
+    ee = scenarios.cert("happy3", "ee", "sub")
+    status = revocation.responder_status(
+        lambda digest: [newer, original], issuer_digest(ee.issuer),
+        ee.serial, NOW)
+    assert status.value is StatusValue.REVOKED
+    assert status.revocation_date == NOW - datetime.timedelta(days=5)
+
+
+def test_newer_crl_later_revocation_keeps_good(scenarios):
+    # a revocation dated after NOW in a CRL that does not cover NOW leaves
+    # the covering CRL's GOOD in place
+    newer = _sub_crl(scenarios, NEWER, LATER, _revoked_ee(scenarios, NEWER))
+    original = parse_crl(scenarios.layout("happy3").crls["sub"].read_bytes())
+    ee = scenarios.cert("happy3", "ee", "sub")
+    assert revocation.crl_for_time([newer, original], ee.serial,
+                                   NOW) is original
+
+
+def test_responder_uses_crl_covering_the_time(scenarios):
+    original = parse_crl(scenarios.layout("happy3").crls["sub"].read_bytes())
+    newer = _sub_crl(scenarios, NEWER, LATER)
+    ee = scenarios.cert("happy3", "ee", "sub")
+    status = revocation.responder_status(
+        lambda digest: [newer, original], issuer_digest(ee.issuer),
+        ee.serial, NOW)
+    assert status.value is StatusValue.GOOD
+
+
+def test_crl_choice_falls_back_to_freshest(scenarios):
+    stale = _sub_crl(scenarios, NOW - datetime.timedelta(days=20),
+                     NOW - datetime.timedelta(days=10))
+    staler = _sub_crl(scenarios, NOW - datetime.timedelta(days=30),
+                      NOW - datetime.timedelta(days=20))
+    ee = scenarios.cert("happy3", "ee", "sub")
+    assert revocation.crl_for_time([stale, staler], ee.serial, NOW) is stale
+    status = revocation.responder_status(
+        lambda digest: [stale, staler], issuer_digest(ee.issuer),
+        ee.serial, NOW)
+    assert status.cause == revocation.CAUSE_STALE_CRL

@@ -1,5 +1,8 @@
 import datetime
+import http.client
 import logging
+import pathlib
+import socket
 import threading
 import urllib.request
 
@@ -381,11 +384,11 @@ def test_repository_reload_swaps_snapshot(tmp_path, server_identity,
     repo = tmp_path / "live"
     shutil.copytree(scenarios.layout("happy3").out_dir, repo)
     core = make_core(tmp_path, server_identity, repo)
-    before = core.snapshot
+    before = core.repository
     shutil.copy(scenarios.layout("revoked-ee").crls["sub"],
                 repo / "crls" / "sub.crl")
     core.reload_repository()
-    assert core.snapshot is not before
+    assert core.repository is not before
     ee = scenarios.cert("happy3", "ee", "sub")
     response = send(core, build([ee]))
     assert response.info.results[0].status is VerdictStatus.INVALID
@@ -511,3 +514,65 @@ def _free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+def _raw_post(handle, length_header: str, body: bytes = b"") -> bytes:
+    """Send one POST with a hand-written Content-Length and read until the
+    server closes; a server that waits for more input times out here."""
+    host, port = handle.httpd.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(f"POST /dvcs HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Length: {length_header}\r\n\r\n".encode()
+                     + body)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "+7", "1e3", ""])
+def test_http_bad_content_length_is_400(scenarios, server_factory, length):
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    reply = _raw_post(handle, length)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in reply
+
+
+def test_http_oversized_body_is_413_without_reading(scenarios,
+                                                    server_factory):
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    reply = _raw_post(handle, str(cvs.MAX_BODY + 1))
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in reply
+
+
+def test_http_largest_body_is_read(scenarios, server_factory):
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    host, port = handle.httpd.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.request("POST", "/dvcs", body=bytes(cvs.MAX_BODY))
+        response = conn.getresponse()
+        assert response.status == 200
+        notice = protocol.parse_response(response.read())
+    finally:
+        conn.close()
+    assert notice.code is ErrorCode.MALFORMED_REQUEST
+
+
+def test_serial_survives_a_torn_state_write(tmp_path, server_identity,
+                                            scenarios, monkeypatch):
+    core = make_core(tmp_path, server_identity,
+                     scenarios.layout("happy3").out_dir)
+    ee = scenarios.cert("happy3", "ee", "sub")
+    issued = [send(core, build([ee])).info.serial_number for _ in range(3)]
+
+    def torn_write(self, *args, **kwargs):
+        self.open("w").close()  # truncated, then the process dies
+        raise OSError("crash while writing")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", torn_write)
+    assert isinstance(send(core, build([ee])), ErrorNotice)
+    monkeypatch.undo()
+    reborn = cvs.CvsServer(core.config)
+    assert send(reborn, build([ee])).info.serial_number > max(issued)
