@@ -26,6 +26,7 @@ from .der import (
     InvalidValue,
     OctetString,
     Oid,
+    Raw,
     Sequence,
     Set,
     Utf8String,
@@ -33,7 +34,6 @@ from .der import (
     decode_exact,
     encode,
     named_bits,
-    sequence_of_raw,
 )
 
 
@@ -296,8 +296,8 @@ def _set_der(obj, tbs: Sequence) -> None:
     # encode the TBS once and wrap the signed envelope around those bytes
     tbs_der = encode(tbs)
     object.__setattr__(obj, "tbs_der", tbs_der)
-    object.__setattr__(obj, "der", sequence_of_raw(
-        [tbs_der, encode(BitString(obj.signature, 0))]))
+    object.__setattr__(obj, "der", encode(Sequence(
+        [Raw(tbs_der), BitString(obj.signature, 0)])))
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +585,8 @@ def _certificate(value: DerValue, encoded: bytes) -> Certificate:
     return cert
 
 
-def parse_certificate_value(value: DerValue) -> Certificate:
+def certificate_from_value(value: DerValue) -> Certificate:
     return _certificate(value, encode(value))
-
-
-def certificate_value(cert: Certificate) -> Sequence:
-    return Sequence([tbs_value(cert), BitString(cert.signature, 0)])
 
 
 def parse_certificate(data: bytes) -> Certificate:
@@ -599,7 +595,7 @@ def parse_certificate(data: bytes) -> Certificate:
 
 
 def fingerprint(cert: Certificate) -> bytes:
-    return crypto.digest(crypto.SHA256, cert.der)
+    return crypto.digest(cert.der)
 
 
 def check_signature(cert: Certificate, issuer_public_key: bytes) -> bool:
@@ -652,10 +648,6 @@ def _crl_tbs_value(crl: Crl) -> Sequence:
     ])
 
 
-def crl_value(crl: Crl) -> Sequence:
-    return Sequence([_crl_tbs_value(crl), BitString(crl.signature, 0)])
-
-
 def _crl(value: DerValue, encoded: bytes) -> Crl:
     if not (isinstance(value, Sequence) and len(value.elements) == 2
             and isinstance(value.elements[1], BitString)
@@ -696,7 +688,7 @@ def _crl(value: DerValue, encoded: bytes) -> Crl:
     return crl
 
 
-def parse_crl_value(value: DerValue) -> Crl:
+def crl_from_value(value: DerValue) -> Crl:
     return _crl(value, encode(value))
 
 

@@ -1,8 +1,9 @@
-"""Signature and digest primitives behind an OID-keyed registry.
+"""Signature and digest primitives.
 
-One deterministic signature scheme (Ed25519) and one digest (SHA-256) are
-registered; everything above this module speaks OIDs only, so further
-algorithms can be added without touching callers.
+Signature schemes sit behind an OID-keyed registry with one deterministic
+scheme (Ed25519) registered; callers name a scheme by OID only, so further
+schemes can be added without touching them.  The digest (SHA-256) is fixed:
+no input OID selects it, and ``digest`` is the one place that chooses it.
 """
 
 from __future__ import annotations
@@ -49,22 +50,13 @@ class KeyPair:
 
 
 ED25519 = AlgorithmId(oids.ALG_ED25519, "ed25519")
-SHA256 = AlgorithmId(oids.ALG_SHA256, "sha-256")
 
 _SIGNATURE_ALGORITHMS = {ED25519.oid: ED25519}
-_DIGEST_ALGORITHMS = {SHA256.oid: SHA256}
 
 
 def signature_algorithm(oid: Oid) -> AlgorithmId:
     try:
         return _SIGNATURE_ALGORITHMS[oid]
-    except KeyError:
-        raise UnknownAlgorithm(oid) from None
-
-
-def digest_algorithm(oid: Oid) -> AlgorithmId:
-    try:
-        return _DIGEST_ALGORITHMS[oid]
     except KeyError:
         raise UnknownAlgorithm(oid) from None
 
@@ -101,9 +93,8 @@ def verify(public_key: bytes, algorithm: AlgorithmId, message: bytes,
         return False
 
 
-def digest(algorithm: AlgorithmId, message: bytes) -> bytes:
-    digest_algorithm(algorithm.oid)
-    return hashlib.sha256(message).digest()
+def digest(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
 def encode_key(key: KeyPair) -> bytes:

@@ -143,9 +143,19 @@ class ContextTagged:
     explicit: bool = True
 
 
+@dataclass(frozen=True)
+class Raw:
+    """An already-encoded value, emitted by ``encode`` as it is.  It lets a
+    value tree embed signed bytes without re-encoding them; the bytes must
+    already be DER (they are not checked), and the decoder never produces
+    one."""
+
+    der: bytes
+
+
 DerValue = Union[Boolean, Integer, OctetString, BitString, Oid, Utf8String,
                  PrintableString, GeneralizedTime, Null, Sequence, Set,
-                 ContextTagged]
+                 ContextTagged, Raw]
 
 _TAG_BOOLEAN = 0x01
 _TAG_INTEGER = 0x02
@@ -254,6 +264,8 @@ def encode(value: DerValue) -> bytes:
         return _tlv(_TAG_SEQUENCE, b"".join(encode(e) for e in value.elements))
     if isinstance(value, Set):
         return _tlv(_TAG_SET, b"".join(sorted(encode(e) for e in value.elements)))
+    if isinstance(value, Raw):
+        return value.der
     if isinstance(value, ContextTagged):
         if not 0 <= value.number <= 30:
             raise InvalidValue(f"context tag number {value.number} out of range")
@@ -433,19 +445,6 @@ def decode_exact(data: bytes) -> DerValue:
     if used != len(data):
         raise TrailingGarbage(f"{len(data) - used} byte(s) after value")
     return value
-
-
-def sequence_of_raw(parts) -> bytes:
-    """Wrap already-encoded values in a SEQUENCE without re-parsing them."""
-    content = b"".join(parts)
-    return _tlv(_TAG_SEQUENCE, content)
-
-
-def explicit_tag_raw(number: int, inner_der: bytes) -> bytes:
-    """Wrap one already-encoded value in an explicit context tag."""
-    if not 0 <= number <= 30:
-        raise InvalidValue(f"context tag number {number} out of range")
-    return _tlv(0xA0 | number, inner_der)
 
 
 def named_bits(positions) -> BitString:

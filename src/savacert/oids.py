@@ -19,9 +19,8 @@ EXT_POLICY_CONSTRAINTS = Oid("2.5.29.36")
 
 ANY_POLICY = Oid("2.5.29.32.0")
 
-# Algorithms (signature under a private arc; digest is the standard OID)
+# Signature algorithm (private arc)
 ALG_ED25519 = Oid("1.3.6.1.4.1.57264.1.1")
-ALG_SHA256 = Oid("2.16.840.1.101.3.4.2.1")
 
 # Validation-request extensions (private arc)
 REQ_INTENDED_USAGE = Oid("1.3.6.1.4.1.57264.2.1")

@@ -8,6 +8,7 @@ candidates for validation.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -49,19 +50,28 @@ class CandidateChain:
 
 
 class CertGraph:
-    """Immutable certificate store indexed for chain walking."""
+    """Immutable certificate store indexed for chain walking.  Graphs derived
+    from it share its index lists, so no graph appends to a list in place."""
 
     def __init__(self, certificates, anchor_fingerprints):
         self.nodes: dict[bytes, Certificate] = {}
         self.by_issuer: dict[Name, list[bytes]] = {}
         self.by_subject: dict[Name, list[bytes]] = {}
+        self._add(certificates)
+        self._set_anchors(anchor_fingerprints)
+
+    def _add(self, certificates) -> None:
         for cert in certificates:
             fp = fingerprint(cert)
             if fp in self.nodes:
                 continue
             self.nodes[fp] = cert
-            self.by_issuer.setdefault(cert.issuer, []).append(fp)
-            self.by_subject.setdefault(cert.subject, []).append(fp)
+            self.by_issuer[cert.issuer] = [
+                *self.by_issuer.get(cert.issuer, ()), fp]
+            self.by_subject[cert.subject] = [
+                *self.by_subject.get(cert.subject, ()), fp]
+
+    def _set_anchors(self, anchor_fingerprints) -> None:
         self.anchor_fps = frozenset(anchor_fingerprints)
         missing = [fp for fp in self.anchor_fps if fp not in self.nodes]
         if missing:
@@ -71,9 +81,20 @@ class CertGraph:
     def anchors(self) -> list[Certificate]:
         return [self.nodes[fp] for fp in sorted(self.anchor_fps)]
 
+    def with_anchors(self, anchor_fingerprints) -> "CertGraph":
+        """The same certificates under another anchor set."""
+        graph = copy.copy(self)
+        graph._set_anchors(anchor_fingerprints)
+        return graph
+
     def with_extra(self, certificates) -> "CertGraph":
-        return CertGraph(list(self.nodes.values()) + list(certificates),
-                         self.anchor_fps)
+        """This graph plus ``certificates``; this graph is left as it is."""
+        graph = copy.copy(self)
+        graph.nodes = dict(self.nodes)
+        graph.by_issuer = dict(self.by_issuer)
+        graph.by_subject = dict(self.by_subject)
+        graph._add(certificates)
+        return graph
 
 
 def _chain_sort_key(chain: CandidateChain):

@@ -22,12 +22,10 @@ from .certs import (
     Certificate,
     Crl,
     Name,
-    crl_value,
-    certificate_value,
+    certificate_from_value,
+    crl_from_value,
     fingerprint,
     name_value,
-    parse_certificate_value,
-    parse_crl_value,
     parse_name_value,
 )
 from .der import (
@@ -40,14 +38,13 @@ from .der import (
     Integer,
     OctetString,
     Oid,
+    Raw,
     Sequence,
     Utf8String,
     bit_positions,
     decode_exact,
     encode,
-    explicit_tag_raw,
     named_bits,
-    sequence_of_raw,
 )
 from .policytree import CprRequirement
 from .validation import FailureReason, Verdict, VerdictStatus
@@ -147,7 +144,7 @@ class RequestInformation:
                               "suppliedChains must be a SEQUENCE")
         if value is None:
             return ()
-        return tuple(parse_certificate_value(c) for c in value.elements)
+        return tuple(certificate_from_value(c) for c in value.elements)
 
     def want_backs(self) -> frozenset | None:
         """None when the extension is absent (server default applies)."""
@@ -244,7 +241,7 @@ class ResponseTrust:
 
 def target_fingerprint(target) -> bytes:
     if isinstance(target, (bytes, bytearray)):
-        return crypto.digest(crypto.SHA256, bytes(target))
+        return crypto.digest(bytes(target))
     return fingerprint(target)
 
 
@@ -344,28 +341,27 @@ def encode_info(info: RequestInformation) -> bytes:
 # ---------------------------------------------------------------------------
 # requests
 
-def _request_body_der(request: ValidationRequest) -> bytes:
-    info_der = encode_info(request.info)
-    targets_der = sequence_of_raw(
-        t if isinstance(t, (bytes, bytearray)) else t.der
-        for t in request.targets)
-    tail = encode(Sequence([Oid(o.arcs) for o in request.acceptable_set]))
-    tail += encode(Boolean(request.explicit_policy_required))
-    tail += encode(Boolean(request.inhibit_policy_mapping))
-    return sequence_of_raw([info_der, targets_der, tail])
+def _request_body(request: ValidationRequest) -> Sequence:
+    """The signed part of a request."""
+    return Sequence([
+        info_value(request.info),
+        Sequence([Raw(bytes(t) if isinstance(t, (bytes, bytearray)) else t.der)
+                  for t in request.targets]),
+        Sequence([Oid(o.arcs) for o in request.acceptable_set]),
+        Boolean(request.explicit_policy_required),
+        Boolean(request.inhibit_policy_mapping),
+    ])
 
 
 def encode_request(request: ValidationRequest) -> bytes:
     if not request.targets:
         raise ProtocolError("a request carries at least one target")
-    body = _request_body_der(request)
-    parts = [body]
+    parts = [_request_body(request)]
     if request.signature is not None:
         sig = request.signature
-        parts.append(explicit_tag_raw(0, sequence_of_raw([
-            sig.signer.der, encode(sig.algorithm),
-            encode(BitString(sig.value, 0))])))
-    return explicit_tag_raw(_KIND_REQUEST, sequence_of_raw(parts))
+        parts.append(ContextTagged(0, Sequence([
+            Raw(sig.signer.der), sig.algorithm, BitString(sig.value, 0)])))
+    return encode(ContextTagged(_KIND_REQUEST, Sequence(parts)))
 
 
 def _open_envelope(data: bytes) -> tuple[int, DerValue]:
@@ -401,7 +397,7 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
     if supplied_chains:
         extensions.append(RequestExtension(
             oids.REQ_SUPPLIED_CHAINS, False,
-            sequence_of_raw(c.der for c in supplied_chains)))
+            encode(Sequence([Raw(c.der) for c in supplied_chains]))))
     if want_backs is not None:
         extensions.append(RequestExtension(
             oids.REQ_WANT_BACKS, False, encode(named_bits(want_backs))))
@@ -421,7 +417,7 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
     if signer_key is not None:
         if signer_cert is None:
             raise ProtocolError("request signing needs the signer certificate")
-        value = crypto.sign(signer_key, _request_body_der(request))
+        value = crypto.sign(signer_key, encode(_request_body(request)))
         request = dataclasses.replace(request, signature=RequestSignature(
             signer_cert, signer_key.algorithm.oid, value))
     return request
@@ -440,7 +436,8 @@ def parse_request(data: bytes) -> ValidationRequest:
     targets_value = body.elements[1]
     if not isinstance(targets_value, Sequence) or not targets_value.elements:
         raise ProtocolError("a request carries at least one target")
-    targets = tuple(parse_certificate_value(t) for t in targets_value.elements)
+    targets = tuple(certificate_from_value(t)
+                    for t in targets_value.elements)
     acceptable = _oid_list(body.elements[2], "acceptablePolicySet")
     if not (isinstance(body.elements[3], Boolean)
             and isinstance(body.elements[4], Boolean)):
@@ -456,7 +453,7 @@ def parse_request(data: bytes) -> ValidationRequest:
                 and isinstance(wrapper.inner.elements[2], BitString)):
             raise ProtocolError("bad request signature")
         signature = RequestSignature(
-            parse_certificate_value(wrapper.inner.elements[0]),
+            certificate_from_value(wrapper.inner.elements[0]),
             wrapper.inner.elements[1],
             wrapper.inner.elements[2].value)
     request = ValidationRequest(
@@ -478,7 +475,7 @@ def verify_request_signature(request: ValidationRequest) -> bool:
     try:
         alg = crypto.signature_algorithm(sig.algorithm)
         return crypto.verify(sig.signer.public_key, alg,
-                             _request_body_der(request), sig.value)
+                             encode(_request_body(request)), sig.value)
     except crypto.CryptoError:
         return False
 
@@ -490,10 +487,10 @@ def _evidence_value(evidence: EvidenceOut) -> Sequence:
     elements = []
     if evidence.chain is not None:
         elements.append(ContextTagged(0, Sequence(
-            [certificate_value(c) for c in evidence.chain])))
+            [Raw(c.der) for c in evidence.chain])))
     if evidence.crls is not None:
         elements.append(ContextTagged(1, Sequence(
-            [crl_value(c) for c in evidence.crls])))
+            [Raw(c.der) for c in evidence.crls])))
     if evidence.replies is not None:
         elements.append(ContextTagged(2, Sequence(
             [OctetString(r) for r in evidence.replies])))
@@ -511,10 +508,10 @@ def _parse_evidence(value: DerValue) -> EvidenceOut:
         if not (isinstance(item, ContextTagged) and item.explicit):
             raise ProtocolError("bad evidence entry")
         if item.number == 0 and isinstance(item.inner, Sequence):
-            chain = tuple(parse_certificate_value(c)
+            chain = tuple(certificate_from_value(c)
                           for c in item.inner.elements)
         elif item.number == 1 and isinstance(item.inner, Sequence):
-            crls = tuple(parse_crl_value(c) for c in item.inner.elements)
+            crls = tuple(crl_from_value(c) for c in item.inner.elements)
         elif item.number == 2 and isinstance(item.inner, Sequence):
             replies = tuple(r.value for r in item.inner.elements
                             if isinstance(r, OctetString))
@@ -609,30 +606,27 @@ def _parse_dvc_info(value: DerValue) -> DvcInfo:
         version=value.elements[0].value)
 
 
-def _signed_envelope(kind: int, info_der: bytes,
-                     signer: Certificate | None,
-                     signature: tuple[Oid, bytes] | None) -> bytes:
-    parts = [info_der]
-    if signer is not None:
-        parts.append(explicit_tag_raw(0, signer.der))
-    if signature is not None:
-        alg, value = signature
-        parts.append(encode(ContextTagged(1, Sequence(
-            [alg, BitString(value, 0)]))))
-    return explicit_tag_raw(kind, sequence_of_raw(parts))
+def _signed_envelope(kind: int, info: DerValue,
+                     signer: Certificate | None = None,
+                     key: crypto.KeyPair | None = None) -> bytes:
+    """The message, signed by ``key`` with ``signer`` attached when given."""
+    info_der = encode(info)
+    parts: list[DerValue] = [Raw(info_der)]
+    if key is not None:
+        signature = crypto.sign(key, info_der)
+        parts += [ContextTagged(0, Raw(signer.der)),
+                  ContextTagged(1, Sequence([key.algorithm.oid,
+                                             BitString(signature, 0)]))]
+    return encode(ContextTagged(kind, Sequence(parts)))
 
 
 def sign_dvc(info: DvcInfo, signer: Certificate,
              key: crypto.KeyPair) -> bytes:
-    info_der = encode(dvc_info_value(info))
-    signature = crypto.sign(key, info_der)
-    return _signed_envelope(_KIND_DVC, info_der, signer,
-                            (key.algorithm.oid, signature))
+    return _signed_envelope(_KIND_DVC, dvc_info_value(info), signer, key)
 
 
 def unsigned_dvc(info: DvcInfo) -> bytes:
-    return _signed_envelope(_KIND_DVC, encode(dvc_info_value(info)),
-                            None, None)
+    return _signed_envelope(_KIND_DVC, dvc_info_value(info))
 
 
 def notice_info_value(notice: ErrorNotice) -> Sequence:
@@ -645,10 +639,8 @@ def notice_info_value(notice: ErrorNotice) -> Sequence:
 
 def sign_error_notice(notice: ErrorNotice, signer: Certificate,
                       key: crypto.KeyPair) -> bytes:
-    info_der = encode(notice_info_value(notice))
-    signature = crypto.sign(key, info_der)
-    return _signed_envelope(_KIND_ERROR, info_der, signer,
-                            (key.algorithm.oid, signature))
+    return _signed_envelope(_KIND_ERROR, notice_info_value(notice), signer,
+                            key)
 
 
 def _parse_signed_tail(elements, start):
@@ -656,7 +648,7 @@ def _parse_signed_tail(elements, start):
     at = start
     wrapped = _optional(elements, at, 0)
     if wrapped is not None:
-        signer = parse_certificate_value(wrapped)
+        signer = certificate_from_value(wrapped)
         at += 1
     wrapped = _optional(elements, at, 1)
     if wrapped is not None:

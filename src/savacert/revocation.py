@@ -24,6 +24,7 @@ from .der import (
     Integer,
     OctetString,
     Oid,
+    Raw,
     Sequence,
     Utf8String,
     decode_exact,
@@ -118,7 +119,7 @@ def check_crl(cert: Certificate, crl: Crl,
 # online status protocol
 
 def issuer_digest(issuer: Name) -> bytes:
-    return crypto.digest(crypto.SHA256, encode(name_value(issuer)))
+    return crypto.digest(encode(name_value(issuer)))
 
 
 def build_status_query(issuer: Name, serial: int,
@@ -176,9 +177,8 @@ def _parse_status_body(value) -> tuple:
 def build_status_reply(query_der: bytes, status: CertStatus,
                        produced_at: datetime.datetime,
                        responder_key: crypto.KeyPair) -> bytes:
-    """Signed reply echoing the query byte-exactly."""
-    query_value = decode_exact(query_der)
-    signed_part = [query_value, _status_body(status),
+    """Signed reply echoing the (already parsed) query byte-exactly."""
+    signed_part = [Raw(query_der), _status_body(status),
                    GeneralizedTime(produced_at), responder_key.algorithm.oid]
     signature = crypto.sign(responder_key, encode(Sequence(signed_part)))
     return encode(Sequence(signed_part + [BitString(signature, 0)]))

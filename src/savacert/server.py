@@ -473,6 +473,10 @@ MAX_BODY = 1 + 4 + der.MAX_ELEMENT
 class _Handler(BaseHTTPRequestHandler):
     server_version = "savacert-cvs/0.1"
     protocol_version = "HTTP/1.1"
+    # seconds a socket read or write may stall, so a body shorter than its
+    # Content-Length cannot hold a handler thread; http.server turns the
+    # TimeoutError into a closed connection
+    timeout = 30
 
     def _send(self, status: int, content_type: str, body: bytes,
               close: bool = False) -> None:

@@ -7,7 +7,7 @@ import datetime
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .certs import Certificate, Crl, Name, fingerprint, parse_certificate, parse_crl
+from .certs import Crl, Name, parse_certificate, parse_crl
 from .pathbuild import CertGraph
 from .revocation import issuer_digest
 
@@ -53,7 +53,8 @@ class Repository:
     snapshot; callers swap the reference atomically."""
 
     root: Path
-    certificates: dict[bytes, Certificate] = field(default_factory=dict)
+    # every stored certificate, indexed once; per-request graphs share it
+    index: CertGraph
     # CRL lists are sorted freshest first; both maps share each list
     crls_by_issuer: dict[Name, list[Crl]] = field(default_factory=dict)
     crls_by_digest: dict[bytes, list[Crl]] = field(default_factory=dict)
@@ -62,16 +63,16 @@ class Repository:
     @classmethod
     def load(cls, root: "Path | str") -> "Repository":
         root = Path(root)
-        repo = cls(root)
         cert_dir = root / "certs"
         if not cert_dir.is_dir():
             raise RepositoryError(f"no certs/ directory under {root}")
+        certificates = []
         for path in sorted(cert_dir.glob("*.der")):
             try:
-                cert = parse_certificate(path.read_bytes())
+                certificates.append(parse_certificate(path.read_bytes()))
             except Exception as exc:
                 raise RepositoryError(f"{path}: {exc}") from exc
-            repo.certificates[fingerprint(cert)] = cert
+        repo = cls(root, CertGraph(certificates, ()))
         crl_dir = root / "crls"
         if crl_dir.is_dir():
             for path in sorted(crl_dir.glob("*.crl")):
@@ -87,19 +88,17 @@ class Repository:
         if manifest.is_file():
             repo.anchors = parse_anchor_manifest(manifest.read_text())
         for entry in repo.anchors:
-            if entry.fingerprint not in repo.certificates:
+            if entry.fingerprint not in repo.index.nodes:
                 raise RepositoryError(
                     f"anchor {entry.label} not among stored certificates")
         return repo
 
-    @property
-    def anchor_fingerprints(self) -> frozenset:
-        return frozenset(e.fingerprint for e in self.anchors)
-
     def graph(self, anchor_fingerprints=None) -> CertGraph:
-        anchors = (self.anchor_fingerprints if anchor_fingerprints is None
-                   else anchor_fingerprints)
-        return CertGraph(self.certificates.values(), anchors)
+        """The snapshot's index under the given anchors (default: every
+        manifest anchor)."""
+        if anchor_fingerprints is None:
+            anchor_fingerprints = [e.fingerprint for e in self.anchors]
+        return self.index.with_anchors(anchor_fingerprints)
 
     def crls_for(self, issuer: Name) -> list[Crl]:
         """CRLs claiming the given issuer, freshest first."""

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from savacert import certs, crypto, oids
+from savacert import certs, crypto, oids, protocol
 from savacert.certs import (
     BasicConstraints,
     Extension,
@@ -20,13 +20,12 @@ from savacert.certs import (
     RevokedEntry,
     StructureMismatch,
     UnsupportedVersion,
-    certificate_value,
+    certificate_from_value,
     check_crl_signature,
     check_signature,
     fingerprint,
     make_extensions,
     parse_certificate,
-    parse_certificate_value,
     parse_crl,
     sign_certificate,
     sign_crl,
@@ -41,6 +40,7 @@ from savacert.der import (
     decode_exact,
     encode,
 )
+from savacert.validation import VerdictStatus
 
 UTC = datetime.timezone.utc
 EPOCH = datetime.datetime(2025, 1, 1, tzinfo=UTC)
@@ -73,11 +73,12 @@ def make_cert(**overrides):
 def test_certificate_roundtrip_byte_identical():
     cert = make_cert()
     raw = cert.der
-    assert raw == encode(certificate_value(cert))
+    assert raw == encode(Sequence([tbs_value(cert),
+                                   BitString(cert.signature, 0)]))
     assert cert.tbs_der == encode(tbs_value(cert))
     parsed = parse_certificate(raw)
     assert parsed == cert
-    assert encode(certificate_value(parsed)) == raw
+    assert certificate_from_value(decode_exact(raw)) == cert
 
 
 def test_noncanonical_certificate_rejected():
@@ -89,7 +90,7 @@ def test_noncanonical_certificate_rejected():
     with pytest.raises(StructureMismatch, match="canonical"):
         parse_certificate(cert.der)
     with pytest.raises(StructureMismatch, match="canonical"):
-        parse_certificate_value(decode_exact(cert.der))
+        certificate_from_value(decode_exact(cert.der))
 
 
 def test_parsed_objects_never_encode_to_hash_or_verify(monkeypatch):
@@ -107,6 +108,16 @@ def test_parsed_objects_never_encode_to_hash_or_verify(monkeypatch):
     assert not check_signature(cert, OTHER_KEY.public_key)
     assert check_crl_signature(crl, ROOT_KEY.public_key)
     assert not check_crl_signature(crl, OTHER_KEY.public_key)
+    # DVC evidence embeds the parsed chain certificate and CRL as they are
+    result = protocol.TargetResult(
+        fingerprint(cert), VerdictStatus.VALID,
+        evidence=protocol.EvidenceOut(chain=(cert,), crls=(crl,)))
+    info = protocol.DvcInfo(
+        serial_number=1, produced_at=EPOCH,
+        echo=protocol.RequestInformation(nonce=1, request_time=EPOCH),
+        results=(result,))
+    signed = protocol.sign_dvc(info, cert, ROOT_KEY)
+    assert cert.der in signed and crl.der in signed
 
 
 def test_fingerprint_stable_and_sensitive():

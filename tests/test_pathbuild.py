@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import shutil
 
 import pytest
 
@@ -14,7 +16,7 @@ from savacert.pathbuild import (
     discover,
     supplied_chain,
 )
-from savacert.storage import Repository
+from savacert.storage import Repository, RepositoryError
 
 from helpers import all_simple_paths, fabricate_cert, random_cert_graph
 
@@ -126,6 +128,33 @@ def test_supplied_chain_without_anchor_connectivity(scenarios):
     graph = _graph(scenarios, "happy3").with_extra([orphan_issuer, orphan])
     with pytest.raises(NoPathFound):
         supplied_chain(graph, [orphan_issuer], orphan)
+
+
+def test_with_extra_leaves_the_base_graph_unchanged(scenarios):
+    graph = _graph(scenarios, "happy3")
+    ee = scenarios.cert("happy3", "ee", "sub")
+
+    def index(g):
+        return (dict(g.nodes),
+                {name: list(fps) for name, fps in g.by_issuer.items()},
+                {name: list(fps) for name, fps in g.by_subject.items()})
+
+    before = index(graph)
+    # a sibling of ee lands in the issuer and subject lists ee is in
+    sibling = dataclasses.replace(ee, serial=ee.serial + 1)
+    extended = graph.with_extra([sibling, fabricate_cert("x", "x-ca")])
+    assert fingerprint(sibling) in extended.nodes
+    assert len(extended.by_issuer[ee.issuer]) == 2
+    assert index(graph) == before
+
+
+def test_unstored_anchor_is_named_at_load(scenarios, tmp_path):
+    repo = tmp_path / "repo"
+    shutil.copytree(scenarios.layout("happy3").out_dir, repo)
+    with open(repo / "anchors.txt", "a") as manifest:
+        manifest.write(f"{'ab' * 32} ghost -\n")
+    with pytest.raises(RepositoryError, match="anchor ghost "):
+        Repository.load(repo)
 
 
 def test_random_graphs_match_bruteforce_oracle():

@@ -2,13 +2,14 @@ import datetime
 import http.client
 import logging
 import pathlib
+import shutil
 import socket
 import threading
 import urllib.request
 
 import pytest
 
-from savacert import crypto, protocol, server as cvs
+from savacert import certs, crypto, pathbuild, protocol, server as cvs
 from savacert.certs import fingerprint
 from savacert.config import ConfigError
 from savacert.der import Oid
@@ -22,6 +23,7 @@ from conftest import (
     SERVER_NAME,
     make_server_config,
 )
+from helpers import fabricate_cert
 
 P_HIGH = Oid("1.3.6.1.4.1.57264.8.1")
 
@@ -278,6 +280,50 @@ def test_supplied_unorderable_falls_back_to_discovery(happy_core, scenarios):
     assert response.info.results[0].status is VerdictStatus.VALID
 
 
+def test_supplied_certificates_stay_with_their_request(tmp_path,
+                                                       server_identity,
+                                                       scenarios):
+    # without its intermediate in the repository, ee has a path only while
+    # a request supplies the intermediate
+    repo = tmp_path / "no-sub"
+    shutil.copytree(scenarios.layout("happy3").out_dir, repo)
+    (repo / "certs" / scenarios.cert_path("happy3", "sub", "root").name
+     ).unlink()
+    core = make_core(tmp_path, server_identity, repo)
+    ee = scenarios.cert("happy3", "ee", "sub")
+    sub = scenarios.cert("happy3", "sub", "root")
+    supplied = send(core, build([ee], supplied_chains=[sub]))
+    assert supplied.info.results[0].status is VerdictStatus.VALID
+    alone = send(core, build([ee]))
+    assert alone.info.results[0].status is VerdictStatus.UNKNOWN
+
+
+def test_request_work_does_not_grow_with_the_repository(
+        tmp_path, server_identity, scenarios, monkeypatch):
+    happy3 = scenarios.layout("happy3").out_dir
+    larger = tmp_path / "larger"
+    shutil.copytree(happy3, larger)
+    for i in range(20):
+        unrelated = fabricate_cert(f"unrelated-{i}", "unrelated-ca")
+        (larger / "certs" / f"unrelated-{i}.der").write_bytes(unrelated.der)
+    cores = [make_core(tmp_path, server_identity, d) for d in (happy3, larger)]
+    calls = []
+
+    def counting(cert):
+        calls.append(cert)
+        return certs.fingerprint(cert)
+
+    monkeypatch.setattr(pathbuild, "fingerprint", counting)
+    ee = scenarios.cert("happy3", "ee", "sub")
+    counts = []
+    for core in cores:
+        before = len(calls)
+        response = send(core, build([ee]))
+        assert response.info.results[0].status is VerdictStatus.VALID
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1]
+
+
 def test_want_backs_selection(happy_core, scenarios):
     ee = scenarios.cert("happy3", "ee", "sub")
     full = send(happy_core, build(
@@ -380,7 +426,6 @@ def test_http_malformed_body_is_inband_notice(scenarios, server_factory):
 
 def test_repository_reload_swaps_snapshot(tmp_path, server_identity,
                                           scenarios):
-    import shutil
     repo = tmp_path / "live"
     shutil.copytree(scenarios.layout("happy3").out_dir, repo)
     core = make_core(tmp_path, server_identity, repo)
@@ -544,6 +589,18 @@ def test_http_oversized_body_is_413_without_reading(scenarios,
     reply = _raw_post(handle, str(cvs.MAX_BODY + 1))
     assert reply.startswith(b"HTTP/1.1 413 ")
     assert b"Connection: close" in reply
+
+
+def test_http_short_body_times_out_and_closes(scenarios, server_factory,
+                                             monkeypatch):
+    # the handler bounds every socket read; shortened here to keep the test
+    # quick, it must close a connection whose body never arrives
+    assert cvs._Handler.timeout
+    monkeypatch.setattr(cvs._Handler, "timeout", 0.5)
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    assert _raw_post(handle, "100", bytes(10)) == b""
+    with urllib.request.urlopen(handle.url + "/health", timeout=5) as reply:
+        assert reply.read() == b"ok\n"
 
 
 def test_http_largest_body_is_read(scenarios, server_factory):
