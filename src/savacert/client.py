@@ -3,7 +3,8 @@ the server, verifies the response envelope (echo, nonce, signature, signer
 certificate), and renders per-target reports.
 
 Exit codes: 0 all targets valid, 2 any invalid, 3 any unknown, 1 transport
-or protocol failure (including verification errors on the response).
+or protocol failure (including verification errors on the response and
+results that do not answer the requested targets in order).
 """
 
 from __future__ import annotations
@@ -259,12 +260,17 @@ def validate(profile: ClientProfile, target_paths,
     if isinstance(message, ErrorNotice):
         print(protocol.render(message), file=out)
         return 1
+    results = message.info.results
+    if [r.target_fingerprint for r in results] != request.target_fingerprints():
+        print(f"error: the DVC's {len(results)} result(s) do not answer the "
+              f"{len(paths)} target(s) requested, in order", file=out)
+        return 1
 
     exit_code = 0
     counts = {status: 0 for status in VerdictStatus}
     lines = [f"validation certificate serial {message.info.serial_number}, "
              f"produced at {message.info.produced_at:%Y%m%d%H%M%S}Z"]
-    for path, result in zip(paths, message.info.results):
+    for path, result in zip(paths, results):
         counts[result.status] += 1
         lines.append(f"== {path}")
         protocol.render_result_details(result, lines)

@@ -9,7 +9,6 @@ candidates for validation.
 from __future__ import annotations
 
 import copy
-import enum
 from dataclasses import dataclass
 
 from .certs import Certificate, Name, fingerprint
@@ -29,11 +28,6 @@ class NoPathFound(PathError):
 
 class UnorderableSet(PathError):
     pass
-
-
-class Direction(enum.Enum):
-    FORWARD = "forward"   # walk target -> issuers, then reverse
-    REVERSE = "reverse"   # walk anchor -> subjects
 
 
 @dataclass(frozen=True)
@@ -73,13 +67,13 @@ class CertGraph:
 
     def _set_anchors(self, anchor_fingerprints) -> None:
         self.anchor_fps = frozenset(anchor_fingerprints)
-        missing = [fp for fp in self.anchor_fps if fp not in self.nodes]
-        if missing:
-            raise PathError(f"anchor {missing[0].hex()} not in graph")
-
-    @property
-    def anchors(self) -> list[Certificate]:
-        return [self.nodes[fp] for fp in sorted(self.anchor_fps)]
+        # anchor fingerprints per subject name, ascending
+        self.anchors_by_subject: dict[Name, list[bytes]] = {}
+        for fp in sorted(self.anchor_fps):
+            if fp not in self.nodes:
+                raise PathError(f"anchor {fp.hex()} not in graph")
+            self.anchors_by_subject.setdefault(
+                self.nodes[fp].subject, []).append(fp)
 
     def with_anchors(self, anchor_fingerprints) -> "CertGraph":
         """The same certificates under another anchor set."""
@@ -97,69 +91,40 @@ class CertGraph:
         return graph
 
 
-def _chain_sort_key(chain: CandidateChain):
-    return (len(chain.certs),
-            tuple(fingerprint(c) for c in chain.certs),
-            fingerprint(chain.anchor))
-
-
 def discover(graph: CertGraph, target: Certificate,
-             direction: Direction = Direction.FORWARD,
              max_length: int = 8) -> list[CandidateChain]:
-    """Every loop-free anchor-to-target chain of length <= max_length,
-    ordered by (length, fingerprint sequence).  Both directions return the
-    same set; they differ only in traversal."""
+    """Every loop-free anchor-to-target chain of at most ``max_length``
+    certificates, found by walking from the target up through issuers
+    (RFC 4158 section 3).  Chains are ordered by length, then by the member
+    fingerprints from the anchor's first issuance down to the target, then
+    by the anchor's fingerprint."""
     if max_length < 1:
         raise ValueError("max_length must be positive")
     target_fp = fingerprint(target)
     if target_fp not in graph.nodes:
         raise TargetNotInGraph(target_fp.hex())
 
-    anchors_by_subject: dict[Name, list[Certificate]] = {}
-    for anchor in graph.anchors:
-        anchors_by_subject.setdefault(anchor.subject, []).append(anchor)
+    found: list[tuple[tuple, CandidateChain]] = []
 
-    results: list[CandidateChain] = []
+    def climb(fps: tuple[bytes, ...], chain: tuple[Certificate, ...]) -> None:
+        issuer = chain[0].issuer
+        for anchor_fp in graph.anchors_by_subject.get(issuer, ()):
+            found.append(((len(fps), fps, anchor_fp),
+                          CandidateChain(graph.nodes[anchor_fp], chain)))
+        if len(fps) >= max_length:
+            return
+        for fp in graph.by_subject.get(issuer, ()):
+            if fp not in graph.anchor_fps and fp not in fps:
+                climb((fp, *fps), (graph.nodes[fp], *chain))
 
-    if direction is Direction.FORWARD:
-        def climb(used: frozenset, chain: list[Certificate]) -> None:
-            head = chain[0]
-            for anchor in anchors_by_subject.get(head.issuer, []):
-                results.append(CandidateChain(anchor, tuple(chain)))
-            if len(chain) >= max_length:
-                return
-            for fp in graph.by_subject.get(head.issuer, []):
-                if fp in graph.anchor_fps or fp in used:
-                    continue
-                climb(used | {fp}, [graph.nodes[fp]] + chain)
-
-        climb(frozenset({target_fp}), [target])
-    else:
-        def descend(at: Name, used: frozenset, chain: list[Certificate],
-                    anchor: Certificate) -> None:
-            for fp in graph.by_issuer.get(at, []):
-                if fp in used or len(chain) + 1 > max_length:
-                    continue
-                if fp in graph.anchor_fps and fp != target_fp:
-                    continue
-                cert = graph.nodes[fp]
-                if fp == target_fp:
-                    results.append(CandidateChain(anchor, tuple(chain + [cert])))
-                    continue  # chains end at the target
-                descend(cert.subject, used | {fp}, chain + [cert], anchor)
-
-        for anchor in graph.anchors:
-            descend(anchor.subject, frozenset(), [], anchor)
-
-    results.sort(key=_chain_sort_key)
-    return results
+    climb((target_fp,), (target,))
+    found.sort(key=lambda item: item[0])
+    return [chain for _, chain in found]
 
 
-def _order_pool(pool: list[Certificate], target: Certificate):
+def _order_pool(by_fp: dict[bytes, Certificate], target_fp: bytes):
     """Backtracking name-chaining sort of the supplied set into one chain
     ending at the target; None when no complete ordering exists."""
-    target_fp = fingerprint(target)
-    by_fp = {fingerprint(c): c for c in pool}
     remaining = set(by_fp) - {target_fp}
 
     def extend(chain: list[Certificate]):
@@ -176,27 +141,30 @@ def _order_pool(pool: list[Certificate], target: Certificate):
                 remaining.add(fp)
         return None
 
-    return extend([target])
+    return extend([by_fp[target_fp]])
 
 
 def supplied_chain(graph: CertGraph, extras, target: Certificate,
                    max_length: int = 8) -> CandidateChain:
     """Order a client-supplied certificate set into a single chain; complete
-    it from the repository when the supplied set does not reach an anchor."""
+    it from ``graph``, which already holds the target and ``extras``, when
+    the supplied set does not reach an anchor."""
     target_fp = fingerprint(target)
-    pool_by_fp = {fingerprint(c): c for c in list(extras) + [target]}
     # a supplied trust-anchor duplicate is the anchor, not a chain member
-    pool = [c for fp, c in sorted(pool_by_fp.items())
-            if fp == target_fp or fp not in graph.anchor_fps]
-    ordered = _order_pool(pool, target)
+    pool = {fingerprint(c): c for c in extras}
+    pool = {fp: c for fp, c in pool.items() if fp not in graph.anchor_fps}
+    pool[target_fp] = target
+    if len(pool) > max_length:
+        raise UnorderableSet(f"{len(pool)} supplied certificate(s) exceed "
+                             f"the {max_length}-certificate chain bound")
+    ordered = _order_pool(pool, target_fp)
     if ordered is None:
         raise UnorderableSet(
             f"{len(pool)} supplied certificate(s) do not form one chain")
-    for anchor in graph.anchors:
-        if anchor.subject == ordered[0].issuer:
-            return CandidateChain(anchor, tuple(ordered))
-    chains = discover(graph.with_extra(pool), target, Direction.FORWARD,
-                      max_length)
+    anchor_fps = graph.anchors_by_subject.get(ordered[0].issuer)
+    if anchor_fps:
+        return CandidateChain(graph.nodes[anchor_fps[0]], tuple(ordered))
+    chains = discover(graph, target, max_length)
     if not chains:
         raise NoPathFound("supplied set does not connect to a trust anchor")
     return chains[0]

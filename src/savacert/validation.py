@@ -26,7 +26,7 @@ from .certs import (
     check_signature,
 )
 from .der import Oid
-from .pathbuild import CandidateChain, CertGraph, Direction, discover
+from .pathbuild import CandidateChain, CertGraph, discover
 from .policytree import CprRequirement
 
 
@@ -218,7 +218,7 @@ def validate_target(graph: CertGraph, target: Certificate,
     wins, otherwise the first candidate's verdict is returned, and a target
     with no chains at all yields an unknown verdict."""
     if candidates is None:
-        candidates = discover(graph, target, Direction.FORWARD, max_length)
+        candidates = discover(graph, target, max_length)
     if not candidates:
         return Verdict(VerdictStatus.UNKNOWN, at, unknown_cause=CAUSE_NO_PATH)
     first: Verdict | None = None

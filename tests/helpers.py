@@ -64,6 +64,12 @@ def all_simple_paths(certificates, anchors, target, max_length):
     return found
 
 
+def discovery_order(paths):
+    """``all_simple_paths`` results in the order ``discover`` promises:
+    length, then member fingerprints, then anchor fingerprint."""
+    return sorted(paths, key=lambda path: (len(path[1]), path[1], path[0]))
+
+
 _PRINTABLE_POOL = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                    "0123456789 '()+,-./:=?")
 _UTF8_POOL = _PRINTABLE_POOL + "äöüßéèñ€漢字🙂\n\t"

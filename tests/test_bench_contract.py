@@ -1,6 +1,9 @@
 """The benchmark under bench/ wraps and imports program names by string;
-this fails when a refactor removes or moves one of them."""
+this fails when a refactor removes or moves one of them, or changes the
+result shape the tracer reads."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +41,21 @@ def test_harness_imports(bench_path):
     import harness
 
     assert callable(harness.make_fixture)
+
+
+def _run_bench(*args):
+    return subprocess.run([sys.executable, *args], cwd=BENCH.parent,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_bench_selfcheck_passes():
+    done = _run_bench("bench/selfcheck.py")
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_traced_bench_run_is_correct():
+    done = _run_bench("bench/run.py", "--workload", "mesh3-crl", "--seed", "1",
+                      "--seconds", "1", "--trace", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

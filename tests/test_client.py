@@ -233,6 +233,44 @@ def test_unsigned_response_per_profile(scenarios, server_identity,
     assert code == 0
 
 
+def _signed_results(server_identity, results_for):
+    """A FaultServer transform answering with a correctly signed DVC that
+    carries ``results_for(request)``."""
+    key = crypto.decode_key(server_identity.key_path.read_bytes())
+
+    def transform(body):
+        request = protocol.parse_request(body)
+        info = protocol.DvcInfo(1, NOW, request.info, results_for(request))
+        return protocol.sign_dvc(info, server_identity.certificate, key)
+
+    return transform
+
+
+def test_dvc_without_results_rejected(scenarios, server_identity,
+                                      fault_server):
+    double = fault_server(_signed_results(server_identity, lambda r: ()))
+    profile = make_profile(double.url, server_identity)
+    code, text = run_validate(
+        profile, [scenarios.cert_path("happy3", "ee", "sub")])
+    assert code == 1
+    assert text.startswith("error:") and "summary:" not in text
+
+
+def test_result_for_another_certificate_rejected(scenarios, server_identity,
+                                                 fault_server):
+    other = fingerprint(scenarios.cert("happy3", "sub", "root"))
+
+    def results_for(request):
+        return (protocol.TargetResult(other, VerdictStatus.VALID),)
+
+    double = fault_server(_signed_results(server_identity, results_for))
+    profile = make_profile(double.url, server_identity)
+    code, text = run_validate(
+        profile, [scenarios.cert_path("happy3", "ee", "sub")])
+    assert code == 1
+    assert text.startswith("error:") and other.hex() not in text
+
+
 def test_tampered_signature_rejected(scenarios, server_identity,
                                      fault_server):
     key = crypto.decode_key(server_identity.key_path.read_bytes())

@@ -8,7 +8,6 @@ from savacert import pathbuild
 from savacert.certs import fingerprint
 from savacert.pathbuild import (
     CertGraph,
-    Direction,
     NoPathFound,
     PathError,
     TargetNotInGraph,
@@ -18,7 +17,12 @@ from savacert.pathbuild import (
 )
 from savacert.storage import Repository, RepositoryError
 
-from helpers import all_simple_paths, fabricate_cert, random_cert_graph
+from helpers import (
+    all_simple_paths,
+    discovery_order,
+    fabricate_cert,
+    random_cert_graph,
+)
 
 
 def _graph(scenarios, name):
@@ -41,24 +45,20 @@ def test_happy3_single_chain(scenarios):
     assert chains[0].anchor.subject == chains[0].certs[0].issuer
 
 
-def test_mesh_two_chains_same_set_both_directions(scenarios):
+def test_mesh_two_chains(scenarios):
     graph = _graph(scenarios, "mesh2paths")
     ee = scenarios.cert("mesh2paths", "ee", "s")
-    forward = discover(graph, ee, Direction.FORWARD)
-    reverse = discover(graph, ee, Direction.REVERSE)
-    assert len(forward) == 2
-    assert forward == reverse
-    assert {_chain_key(c) for c in forward} == {_chain_key(c) for c in reverse}
+    chains = discover(graph, ee)
+    assert len(chains) == 2
+    assert len({_chain_key(c) for c in chains}) == 2
 
 
 def test_cycle_terminates_with_two_loop_free_chains(scenarios):
     graph = _graph(scenarios, "cycle")
     ee = scenarios.cert("cycle", "ee", "b")
-    forward = discover(graph, ee, Direction.FORWARD)
-    reverse = discover(graph, ee, Direction.REVERSE)
-    assert forward == reverse
-    assert len(forward) == 2
-    for chain in forward:
+    chains = discover(graph, ee)
+    assert len(chains) == 2
+    for chain in chains:
         fps = [fingerprint(c) for c in chain.certs]
         assert len(fps) == len(set(fps))  # loop-free
 
@@ -70,6 +70,21 @@ def test_deterministic_ordering(scenarios):
     assert [len(c.certs) for c in chains] == sorted(len(c.certs)
                                                     for c in chains)
     assert discover(graph, ee) == chains  # stable across calls
+
+
+def test_discover_hashes_only_the_target(scenarios, monkeypatch):
+    # chains are sorted on the fingerprints the graph is keyed on
+    graph = _graph(scenarios, "cycle")
+    ee = scenarios.cert("cycle", "ee", "b")
+    hashed = []
+
+    def counting(cert):
+        hashed.append(cert)
+        return fingerprint(cert)
+
+    monkeypatch.setattr(pathbuild, "fingerprint", counting)
+    assert len(discover(graph, ee)) == 2
+    assert hashed == [ee]
 
 
 def test_discovery_ignores_signatures(scenarios):
@@ -165,7 +180,5 @@ def test_random_graphs_match_bruteforce_oracle():
                           [fingerprint(a) for a in anchors])
         expected = all_simple_paths(certificates, anchors, target,
                                     max_length=12)
-        forward = discover(graph, target, Direction.FORWARD, max_length=12)
-        reverse = discover(graph, target, Direction.REVERSE, max_length=12)
-        assert {_chain_key(c) for c in forward} == expected
-        assert forward == reverse
+        chains = discover(graph, target, max_length=12)
+        assert [_chain_key(c) for c in chains] == discovery_order(expected)

@@ -280,6 +280,21 @@ def test_supplied_unorderable_falls_back_to_discovery(happy_core, scenarios):
     assert response.info.results[0].status is VerdictStatus.VALID
 
 
+def test_supplied_chain_obeys_max_chain_length(tmp_path, server_identity,
+                                                scenarios):
+    # ee's only chain has two certificates, above a one-certificate bound
+    core = make_core(tmp_path, server_identity,
+                     scenarios.layout("happy3").out_dir,
+                     policy_lines=("max_chain_length = 1",))
+    ee = scenarios.cert("happy3", "ee", "sub")
+    sub = scenarios.cert("happy3", "sub", "root")
+    for supplied in ([], [sub]):
+        response = send(core, build([ee], supplied_chains=supplied))
+        result = response.info.results[0]
+        assert result.status is VerdictStatus.UNKNOWN
+        assert result.unknown_cause == "no-path"
+
+
 def test_supplied_certificates_stay_with_their_request(tmp_path,
                                                        server_identity,
                                                        scenarios):
