@@ -74,5 +74,17 @@ def parse_bool(value: str, *, where: str = "") -> bool:
     raise ConfigError(f"{where}: not a boolean: {value!r}")
 
 
+def parse_int(value: str, *, where: str, low: int,
+              high: int | None = None) -> int:
+    try:
+        number = int(value)
+        if number >= low and (high is None or number <= high):
+            return number
+    except ValueError:
+        pass
+    bound = f">= {low}" if high is None else f"from {low} to {high}"
+    raise ConfigError(f"{where}: not an integer {bound}: {value!r}")
+
+
 def split_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]

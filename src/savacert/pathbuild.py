@@ -22,14 +22,6 @@ class TargetNotInGraph(PathError):
     pass
 
 
-class NoPathFound(PathError):
-    pass
-
-
-class UnorderableSet(PathError):
-    pass
-
-
 @dataclass(frozen=True)
 class CandidateChain:
     """Certificates from the anchor's first issuance down to the target.
@@ -49,7 +41,6 @@ class CertGraph:
 
     def __init__(self, certificates, anchor_fingerprints):
         self.nodes: dict[bytes, Certificate] = {}
-        self.by_issuer: dict[Name, list[bytes]] = {}
         self.by_subject: dict[Name, list[bytes]] = {}
         self._add(certificates)
         self._set_anchors(anchor_fingerprints)
@@ -60,8 +51,6 @@ class CertGraph:
             if fp in self.nodes:
                 continue
             self.nodes[fp] = cert
-            self.by_issuer[cert.issuer] = [
-                *self.by_issuer.get(cert.issuer, ()), fp]
             self.by_subject[cert.subject] = [
                 *self.by_subject.get(cert.subject, ()), fp]
 
@@ -85,7 +74,6 @@ class CertGraph:
         """This graph plus ``certificates``; this graph is left as it is."""
         graph = copy.copy(self)
         graph.nodes = dict(self.nodes)
-        graph.by_issuer = dict(self.by_issuer)
         graph.by_subject = dict(self.by_subject)
         graph._add(certificates)
         return graph
@@ -120,51 +108,3 @@ def discover(graph: CertGraph, target: Certificate,
     climb((target_fp,), (target,))
     found.sort(key=lambda item: item[0])
     return [chain for _, chain in found]
-
-
-def _order_pool(by_fp: dict[bytes, Certificate], target_fp: bytes):
-    """Backtracking name-chaining sort of the supplied set into one chain
-    ending at the target; None when no complete ordering exists."""
-    remaining = set(by_fp) - {target_fp}
-
-    def extend(chain: list[Certificate]):
-        if not remaining:
-            return chain
-        head = chain[0]
-        for fp in sorted(remaining):
-            cert = by_fp[fp]
-            if cert.subject == head.issuer:
-                remaining.discard(fp)
-                solution = extend([cert] + chain)
-                if solution is not None:
-                    return solution
-                remaining.add(fp)
-        return None
-
-    return extend([by_fp[target_fp]])
-
-
-def supplied_chain(graph: CertGraph, extras, target: Certificate,
-                   max_length: int = 8) -> CandidateChain:
-    """Order a client-supplied certificate set into a single chain; complete
-    it from ``graph``, which already holds the target and ``extras``, when
-    the supplied set does not reach an anchor."""
-    target_fp = fingerprint(target)
-    # a supplied trust-anchor duplicate is the anchor, not a chain member
-    pool = {fingerprint(c): c for c in extras}
-    pool = {fp: c for fp, c in pool.items() if fp not in graph.anchor_fps}
-    pool[target_fp] = target
-    if len(pool) > max_length:
-        raise UnorderableSet(f"{len(pool)} supplied certificate(s) exceed "
-                             f"the {max_length}-certificate chain bound")
-    ordered = _order_pool(pool, target_fp)
-    if ordered is None:
-        raise UnorderableSet(
-            f"{len(pool)} supplied certificate(s) do not form one chain")
-    anchor_fps = graph.anchors_by_subject.get(ordered[0].issuer)
-    if anchor_fps:
-        return CandidateChain(graph.nodes[anchor_fps[0]], tuple(ordered))
-    chains = discover(graph, target, max_length)
-    if not chains:
-        raise NoPathFound("supplied set does not connect to a trust anchor")
-    return chains[0]

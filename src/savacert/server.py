@@ -23,9 +23,14 @@ from pathlib import Path
 
 from . import crypto, der, oids, protocol, revocation
 from .certs import Name, StructureMismatch, parse_certificate
-from .config import ConfigError, parse_bool, parse_sections, split_list
+from .config import (
+    ConfigError,
+    parse_bool,
+    parse_int,
+    parse_sections,
+    split_list,
+)
 from .der import DerError, Oid, parse_time
-from .pathbuild import NoPathFound, UnorderableSet, supplied_chain
 from .policytree import CprRequirement, UnknownUsage, resolve_weak
 from .protocol import (
     DvcInfo,
@@ -120,8 +125,11 @@ def _parse_policy(section) -> ValidationPolicy:
         oid=Oid(oid_text), label=label,
         anchor_labels=tuple(split_list(section.get("anchors", "*"))) or ("*",),
         revocation=revocation_mode,
-        max_chain_length=int(section.get("max_chain_length", "8")),
-        clock_skew=int(section.get("clock_skew", "300")),
+        max_chain_length=parse_int(section.get("max_chain_length", "8"),
+                                   where=f"policy {label}: max_chain_length",
+                                   low=1),
+        clock_skew=parse_int(section.get("clock_skew", "300"),
+                             where=f"policy {label}: clock_skew", low=0),
         require_signed_requests=parse_bool(
             section.get("require_signed_requests", "false"),
             where=f"policy {label}"),
@@ -161,8 +169,6 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
     name_text = server_section.get("name")
     if not name_text:
         raise ConfigError("[server] needs a name")
-    listen = server_section.get("listen", "127.0.0.1:0")
-    host, _, port = listen.rpartition(":")
     clock_text = server_section.get("clock", "system")
     if clock_text == "system":
         clock = Clock()
@@ -185,7 +191,8 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
         name=Name.from_string(name_text),
         key_path=key_path, cert_path=cert_path, repository=repository,
         serial_state=_path("serial_state", "serial.state"),
-        listen=(host or "127.0.0.1", int(port)),
+        listen=parse_listen(server_section.get("listen", "127.0.0.1:0"),
+                            where="[server] listen"),
         clock=clock,
         status_responder=parse_bool(
             server_section.get("status_responder", "true"), where="[server]"),
@@ -193,6 +200,12 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
         responder_cert_path=responder_cert,
         policies=policies,
     )
+
+
+def parse_listen(text: str, *, where: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    return (host or "127.0.0.1",
+            parse_int(port, where=f"{where} port", low=0, high=65535))
 
 
 def load_server_config(path: "Path | str") -> ServerConfig:
@@ -367,22 +380,19 @@ class CvsServer:
         repository = self.repository
         at = request.info.time_override() or now
         usage = request.info.intended_usage()
-        if usage is not None:
-            acceptable = resolve_weak(usage, policy.usage_table)
-            cpr = CprRequirement.strict(acceptable,
-                                        request.explicit_policy_required,
-                                        request.inhibit_policy_mapping)
-            anchors = policy_anchors(repository, policy, usage)
-            if not anchors:
-                raise UnknownUsage(usage)
-        else:
-            cpr = CprRequirement.strict(request.acceptable_set,
-                                        request.explicit_policy_required,
-                                        request.inhibit_policy_mapping)
-            anchors = policy_anchors(repository, policy)
+        acceptable = (request.acceptable_set if usage is None
+                      else resolve_weak(usage, policy.usage_table))
+        cpr = CprRequirement.strict(acceptable,
+                                    request.explicit_policy_required,
+                                    request.inhibit_policy_mapping)
+        anchors = policy_anchors(repository, policy, usage)
+        if usage is not None and not anchors:
+            raise UnknownUsage(usage)
 
-        extras = request.info.supplied_chains()
         targets = request.targets  # parse_request yields Certificates
+        # supplied certificates are hints for discovery (RFC 5055 3.2.5)
+        extras = (request.info.supplied_chains()
+                  if policy.allow_supplied_chains else ())
         graph = repository.graph(anchors).with_extra([*targets, *extras])
         revocation_config = self._revocation_config(policy)
         want = request.info.want_backs()
@@ -391,16 +401,9 @@ class CvsServer:
 
         results = []
         for target in targets:
-            candidates = None
-            if extras and policy.allow_supplied_chains:
-                try:
-                    candidates = [supplied_chain(graph, extras, target,
-                                                 policy.max_chain_length)]
-                except (UnorderableSet, NoPathFound):
-                    candidates = None  # fall back to discovery
             verdict = validate_target(
                 graph, target, at, cpr, revocation_config,
-                repository.crls_for, policy.max_chain_length, candidates)
+                repository.crls_for, policy.max_chain_length)
             results.append(TargetResult(
                 target_fingerprint=protocol.target_fingerprint(target),
                 status=verdict.status,
@@ -571,8 +574,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         config = load_server_config(args.config)
         if args.listen:
-            host, _, port = args.listen.rpartition(":")
-            config.listen = (host or "127.0.0.1", int(port))
+            config.listen = parse_listen(args.listen, where="--listen")
         if args.clock_fixed:
             config.clock = Clock(fixed=parse_time(args.clock_fixed))
         if args.repository:

@@ -212,20 +212,16 @@ def validate_path(chain: CandidateChain, at: datetime.datetime,
 def validate_target(graph: CertGraph, target: Certificate,
                     at: datetime.datetime, cpr: CprRequirement,
                     revocation_config: RevocationConfig, crls_for,
-                    max_length: int = 8,
-                    candidates: "list[CandidateChain] | None" = None) -> Verdict:
+                    max_length: int = 8) -> Verdict:
     """Validate candidate chains in discovery order; the first valid chain
     wins, otherwise the first candidate's verdict is returned, and a target
     with no chains at all yields an unknown verdict."""
-    if candidates is None:
-        candidates = discover(graph, target, max_length)
-    if not candidates:
-        return Verdict(VerdictStatus.UNKNOWN, at, unknown_cause=CAUSE_NO_PATH)
     first: Verdict | None = None
-    for chain in candidates:
+    for chain in discover(graph, target, max_length):
         verdict = validate_path(chain, at, cpr, revocation_config, crls_for)
         if verdict.is_valid:
             return verdict
         if first is None:
             first = verdict
-    return first
+    return first or Verdict(VerdictStatus.UNKNOWN, at,
+                            unknown_cause=CAUSE_NO_PATH)

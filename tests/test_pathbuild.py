@@ -8,12 +8,9 @@ from savacert import pathbuild
 from savacert.certs import fingerprint
 from savacert.pathbuild import (
     CertGraph,
-    NoPathFound,
     PathError,
     TargetNotInGraph,
-    UnorderableSet,
     discover,
-    supplied_chain,
 )
 from savacert.storage import Repository, RepositoryError
 
@@ -116,50 +113,22 @@ def test_anchor_must_exist_in_nodes():
         CertGraph([cert], [b"\x00" * 32])
 
 
-def test_supplied_set_ordering(scenarios):
-    graph = _graph(scenarios, "happy3")
-    sub = scenarios.cert("happy3", "sub", "root")
-    ee = scenarios.cert("happy3", "ee", "sub")
-    chain = supplied_chain(graph, [ee, sub], ee)  # shuffled input
-    assert chain.certs == (sub, ee)
-
-    # singleton completes from the repository, matching discovery
-    completed = supplied_chain(graph, [], ee)
-    assert completed.certs == discover(graph, ee)[0].certs
-
-    # a supplied anchor duplicate is treated as the anchor, not a member
-    root = scenarios.cert("happy3", "root", "root")
-    chain2 = supplied_chain(graph, [root, sub, ee], ee)
-    assert chain2.certs == (sub, ee)
-
-    unrelated = fabricate_cert("stranger", "unknown-ca")
-    with pytest.raises(UnorderableSet):
-        supplied_chain(graph, [ee, unrelated], ee)
-
-
-def test_supplied_chain_without_anchor_connectivity(scenarios):
-    orphan_issuer = fabricate_cert("island-ca", "island-ca")
-    orphan = fabricate_cert("island-ee", "island-ca")
-    graph = _graph(scenarios, "happy3").with_extra([orphan_issuer, orphan])
-    with pytest.raises(NoPathFound):
-        supplied_chain(graph, [orphan_issuer], orphan)
-
-
 def test_with_extra_leaves_the_base_graph_unchanged(scenarios):
     graph = _graph(scenarios, "happy3")
     ee = scenarios.cert("happy3", "ee", "sub")
 
     def index(g):
         return (dict(g.nodes),
-                {name: list(fps) for name, fps in g.by_issuer.items()},
                 {name: list(fps) for name, fps in g.by_subject.items()})
 
     before = index(graph)
-    # a sibling of ee lands in the issuer and subject lists ee is in
+    # a sibling of ee lands in the subject list ee is in
     sibling = dataclasses.replace(ee, serial=ee.serial + 1)
     extended = graph.with_extra([sibling, fabricate_cert("x", "x-ca")])
     assert fingerprint(sibling) in extended.nodes
-    assert len(extended.by_issuer[ee.issuer]) == 2
+    assert extended.by_subject[ee.subject] == [fingerprint(ee),
+                                               fingerprint(sibling)]
+    assert graph.by_subject[ee.subject] == [fingerprint(ee)]
     assert index(graph) == before
 
 

@@ -2,6 +2,7 @@ import datetime
 import http.client
 import logging
 import pathlib
+import re
 import shutil
 import socket
 import threading
@@ -24,6 +25,7 @@ from conftest import (
     make_server_config,
 )
 from helpers import fabricate_cert
+from test_validation import GOLDEN, cpr_from_options
 
 P_HIGH = Oid("1.3.6.1.4.1.57264.8.1")
 
@@ -254,23 +256,102 @@ def test_weak_cpr_respects_anchor_usages(tmp_path, server_identity,
     assert rejected.code is ErrorCode.UNKNOWN_USAGE
 
 
+def _repository_without(tmp_path, scenarios, name, *removed):
+    """A copy of the scenario's repository without the ``removed``
+    (subject, issuer) certificates."""
+    repo = tmp_path / "-".join([name, *(f"{s}_{i}" for s, i in removed)])
+    shutil.copytree(scenarios.layout(name).out_dir, repo)
+    for subject, issuer in removed:
+        (repo / "certs" / scenarios.cert_path(name, subject, issuer).name
+         ).unlink()
+    return repo
+
+
+def _outcome(response):
+    """Everything a result says about its target, chain by fingerprints."""
+    result = response.info.results[0]
+    chain = result.evidence.chain if result.evidence else None
+    return (result.status, result.reason, result.failing_index,
+            result.unknown_cause, result.authorized_set,
+            result.mappings_applied,
+            None if chain is None else [fingerprint(c) for c in chain])
+
+
 def test_supplied_chain_gating(tmp_path, server_identity, scenarios):
-    allowing = make_core(tmp_path, server_identity,
-                         scenarios.layout("happy3").out_dir)
-    refusing = make_core(tmp_path, server_identity,
-                         scenarios.layout("happy3").out_dir,
+    # without sub in the repository, ee has a path only through the
+    # supplied sub, and only a policy that allows supplied chains uses it
+    repo = _repository_without(tmp_path, scenarios, "happy3", ("sub", "root"))
+    allowing = make_core(tmp_path, server_identity, repo)
+    refusing = make_core(tmp_path, server_identity, repo,
                          policy_lines=("allow_supplied_chains = false",))
-    ee = scenarios.cert("happy3", "ee", "sub")
+    root = scenarios.cert("happy3", "root", "root")
     sub = scenarios.cert("happy3", "sub", "root")
+    ee = scenarios.cert("happy3", "ee", "sub")
     request = build([ee], supplied_chains=[sub, ee],
                     want_backs={WantBack.CHAIN})
-    for core in (allowing, refusing):
-        response = send(core, request)
-        assert response.info.results[0].status is VerdictStatus.VALID
-        chain = response.info.results[0].evidence.chain
-        assert [c.subject for c in chain] == \
-            [c.subject for c in (scenarios.cert("happy3", "root", "root"),
-                                 sub, ee)]
+    allowed = send(allowing, request).info.results[0]
+    assert allowed.status is VerdictStatus.VALID
+    assert list(allowed.evidence.chain) == [root, sub, ee]
+    refused = send(refusing, request).info.results[0]
+    assert refused.status is VerdictStatus.UNKNOWN
+    assert refused.unknown_cause == "no-path"
+
+
+def test_supplying_the_target_changes_nothing(tmp_path, server_identity,
+                                              scenarios):
+    # ee has a revoked and a valid chain; the revoked one comes first
+    core = make_core(tmp_path, server_identity,
+                     scenarios.layout("mesh2paths-revoked").out_dir)
+    ee = scenarios.cert("mesh2paths-revoked", "ee", "s")
+    alone = send(core, build([ee], want_backs={WantBack.CHAIN}))
+    supplied = send(core, build([ee], supplied_chains=[ee],
+                                want_backs={WantBack.CHAIN}))
+    assert alone.info.results[0].status is VerdictStatus.VALID
+    assert _outcome(supplied) == _outcome(alone)
+
+
+def test_supplied_anchor_duplicate_and_island(happy_core, scenarios):
+    root = scenarios.cert("happy3", "root", "root")
+    sub = scenarios.cert("happy3", "sub", "root")
+    ee = scenarios.cert("happy3", "ee", "sub")
+    # a supplied copy of the trust anchor is the anchor, not a chain member
+    response = send(happy_core, build([ee], supplied_chains=[root, sub, ee],
+                                      want_backs={WantBack.CHAIN}))
+    assert list(response.info.results[0].evidence.chain) == [root, sub, ee]
+    # an issuer that reaches no anchor gives its end entity no path
+    island_ca = fabricate_cert("island-ca", "island-ca")
+    island_ee = fabricate_cert("island-ee", "island-ca")
+    response = send(happy_core, build([island_ee],
+                                      supplied_chains=[island_ca]))
+    result = response.info.results[0]
+    assert result.status is VerdictStatus.UNKNOWN
+    assert result.unknown_cause == "no-path"
+
+
+@pytest.mark.parametrize("row", GOLDEN["rows"],
+                         ids=[r["scenario"] for r in GOLDEN["rows"]])
+def test_supplying_a_stored_certificate_changes_nothing(
+        tmp_path, server_identity, scenarios, row):
+    # a certificate that reaches the server in the request instead of the
+    # repository, and a supplied copy of the target, leave the answer as it is
+    name = row["scenario"]
+    layout = scenarios.layout(name)
+    target = scenarios.cert(name, *row["target"])
+    cpr = cpr_from_options(row["options"])
+    full = make_core(tmp_path, server_identity, layout.out_dir)
+    expected = _outcome(send(full, build([target], cpr,
+                                         want_backs={WantBack.CHAIN})))
+    cases = [(full, target)]
+    anchors = {a.fingerprint for a in full.repository.anchors}
+    for labels in layout.certs:
+        cert = scenarios.cert(name, *labels)
+        if fingerprint(cert) not in anchors | {fingerprint(target)}:
+            repo = _repository_without(tmp_path, scenarios, name, labels)
+            cases.append((make_core(tmp_path, server_identity, repo), cert))
+    for core, supplied in cases:
+        response = send(core, build([target], cpr, supplied_chains=[supplied],
+                                    want_backs={WantBack.CHAIN}))
+        assert _outcome(response) == expected, fingerprint(supplied).hex()
 
 
 def test_supplied_unorderable_falls_back_to_discovery(happy_core, scenarios):
@@ -300,10 +381,7 @@ def test_supplied_certificates_stay_with_their_request(tmp_path,
                                                        scenarios):
     # without its intermediate in the repository, ee has a path only while
     # a request supplies the intermediate
-    repo = tmp_path / "no-sub"
-    shutil.copytree(scenarios.layout("happy3").out_dir, repo)
-    (repo / "certs" / scenarios.cert_path("happy3", "sub", "root").name
-     ).unlink()
+    repo = _repository_without(tmp_path, scenarios, "happy3", ("sub", "root"))
     core = make_core(tmp_path, server_identity, repo)
     ee = scenarios.cert("happy3", "ee", "sub")
     sub = scenarios.cert("happy3", "sub", "root")
@@ -531,6 +609,33 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     config.write_text("[server]\nname = CN=X\n")
     assert cvs.main(["--config", str(config)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, argv, where", [
+    ({"policy_lines": ("max_chain_length = 0",)}, [],
+     "policy default: max_chain_length"),
+    ({"policy_lines": ("max_chain_length = -2",)}, [],
+     "policy default: max_chain_length"),
+    ({"policy_lines": ("max_chain_length = two",)}, [],
+     "policy default: max_chain_length"),
+    ({"policy_lines": ("clock_skew = -1",)}, [], "policy default: clock_skew"),
+    ({"server_lines": ("listen = 127.0.0.1:65536",)}, [],
+     "[server] listen port"),
+    ({}, ["--listen", "127.0.0.1:http"], "--listen port"),
+], ids=["length-0", "length-negative", "length-word", "skew-negative",
+        "port-too-large", "cli-port-word"])
+def test_bad_integer_settings_fail_at_load(tmp_path, server_identity,
+                                           monkeypatch, capsys, settings,
+                                           argv, where):
+    config = tmp_path / "server.cfg"
+    config.write_text(make_server_config(tmp_path, tmp_path, server_identity,
+                                         **settings))
+    if not argv:
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            cvs.load_server_config(config)
+    monkeypatch.setattr(cvs, "serve", lambda config: 0)
+    assert cvs.main(["--config", str(config), *argv]) == 1
+    assert f"error: {where}" in capsys.readouterr().err
 
 
 def test_cli_serves_and_shuts_down_gracefully(tmp_path, server_identity,
