@@ -162,8 +162,12 @@ def _parse_status_body(value) -> tuple:
         if not (len(rest) == 2 and isinstance(rest[0], GeneralizedTime)
                 and isinstance(rest[1], Integer)):
             raise DecodeError("revoked status needs date and reason")
-        return (StatusValue.REVOKED, rest[0].value,
-                ReasonCode(rest[1].value), None)
+        try:
+            reason = ReasonCode(rest[1].value)
+        except ValueError:
+            raise DecodeError(
+                f"unknown reason code {rest[1].value}") from None
+        return (StatusValue.REVOKED, rest[0].value, reason, None)
     if code == StatusValue.UNDETERMINED:
         if len(rest) > 1 or (rest and not isinstance(rest[0], Utf8String)):
             raise DecodeError("bad undetermined status")

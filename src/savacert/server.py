@@ -42,7 +42,12 @@ from .protocol import (
 )
 from .revocation import STATUS_CONTENT_TYPE
 from .storage import Clock, Repository
-from .validation import RevocationConfig, Verdict, validate_target
+from .validation import (
+    REVOCATION_REGIMES,
+    RevocationConfig,
+    Verdict,
+    validate_target,
+)
 
 log = logging.getLogger("savacert.server")
 
@@ -119,7 +124,7 @@ def _parse_policy(section) -> ValidationPolicy:
         raise ConfigError(f"policy {label}: unknown want-back "
                           f"{unknown_wants[0]!r}")
     revocation_mode = section.get("revocation", "crl")
-    if revocation_mode not in ("crl", "online", "crl-then-online", "none"):
+    if revocation_mode not in REVOCATION_REGIMES:
         raise ConfigError(f"policy {label}: bad revocation {revocation_mode!r}")
     return ValidationPolicy(
         oid=Oid(oid_text), label=label,
@@ -238,7 +243,11 @@ class _SerialCounter:
         self._value = 0
         if state_path.exists():
             text = state_path.read_text().strip()
-            self._value = int(text) if text else 0
+            try:
+                self._value = int(text) if text else 0
+            except ValueError:
+                raise ConfigError(f"serial state {state_path}: "
+                                  f"{text[:20]!r} is not a serial") from None
         else:
             state_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -483,12 +492,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, content_type: str, body: bytes,
               close: bool = False) -> None:
+        """Write the whole response in one write.  Headers flushed ahead of
+        the body would leave the body, with Nagle on, waiting for the peer's
+        delayed ACK on a kept-alive connection (RFC 896, RFC 1122
+        4.2.3.2)."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if close:
             self.send_header("Connection", "close")
-        self.end_headers()
+        if self.request_version != "HTTP/0.9":  # 0.9 replies carry no head
+            body = b"".join([*self._headers_buffer, b"\r\n", body])
+            self._headers_buffer = []
         self.wfile.write(body)
 
     def do_GET(self):  # noqa: N802  (http.server API)

@@ -52,15 +52,17 @@ class FailureReason(enum.IntEnum):
 
 CAUSE_NO_PATH = "no-path"
 
+REVOCATION_REGIMES = ("crl", "online", "crl-then-online", "none")
+
 
 @dataclass(frozen=True)
 class RevocationConfig:
-    regime: str = "crl"  # crl | online | crl-then-online | none
+    regime: str = "crl"  # one of REVOCATION_REGIMES
     responder_url: str | None = None
     responder_cert: Certificate | None = None
 
     def __post_init__(self):
-        if self.regime not in ("crl", "online", "crl-then-online", "none"):
+        if self.regime not in REVOCATION_REGIMES:
             raise ValueError(f"bad revocation regime {self.regime!r}")
 
 
@@ -92,15 +94,24 @@ def _check_name_constraints(subject: Name, accumulated) -> bool:
     return True
 
 
+def _verified(checked: dict, check, signed, key: bytes) -> bool:
+    """``check(signed, key)``, run once per (DER, key) in ``checked``."""
+    memo_key = (signed.der, key)
+    if memo_key not in checked:
+        checked[memo_key] = check(signed, key)
+    return checked[memo_key]
+
+
 def _revocation_status(cert: Certificate, at, issuer_key: bytes,
-                       config: RevocationConfig,
-                       crls_for) -> revocation.CertStatus | None:
+                       config: RevocationConfig, crls_for,
+                       checked: dict) -> revocation.CertStatus | None:
     if config.regime == "none":
         return None
 
     def by_crl():
         verified = [crl for crl in crls_for(cert.issuer)
-                    if check_crl_signature(crl, issuer_key)]
+                    if _verified(checked, check_crl_signature, crl,
+                                 issuer_key)]
         if not verified:
             return revocation.CertStatus(
                 revocation.StatusValue.UNDETERMINED, "crl", None,
@@ -129,9 +140,13 @@ def _revocation_status(cert: Certificate, at, issuer_key: bytes,
 
 def validate_path(chain: CandidateChain, at: datetime.datetime,
                   cpr: CprRequirement, revocation_config: RevocationConfig,
-                  crls_for) -> Verdict:
+                  crls_for, checked: dict | None = None) -> Verdict:
     """Run the whole validation algorithm over one candidate chain.
-    ``crls_for`` maps an issuer Name to its stored CRLs, freshest first."""
+    ``crls_for`` maps an issuer Name to its stored CRLs, freshest first.
+    ``checked`` holds signature results by (DER, key), so candidate chains
+    that share certificates or CRLs share their checks."""
+    if checked is None:
+        checked = {}
     certs = chain.certs
     working_key = chain.anchor.public_key
     anchor_bc = chain.anchor.extensions.basic_constraints
@@ -150,7 +165,7 @@ def validate_path(chain: CandidateChain, at: datetime.datetime,
         is_last = i == len(certs) - 1
         self_issued = cert.is_self_issued
 
-        if not check_signature(cert, working_key):
+        if not _verified(checked, check_signature, cert, working_key):
             return invalid(FailureReason.BAD_SIGNATURE, i)
         if at < cert.not_before:
             return invalid(FailureReason.NOT_YET_VALID, i)
@@ -163,7 +178,7 @@ def validate_path(chain: CandidateChain, at: datetime.datetime,
             return invalid(FailureReason.NAME_CONSTRAINT, i)
 
         status = _revocation_status(cert, at, working_key,
-                                    revocation_config, crls_for)
+                                    revocation_config, crls_for, checked)
         if status is not None:
             if isinstance(status.evidence, Crl):
                 crls.append(status.evidence)
@@ -215,10 +230,14 @@ def validate_target(graph: CertGraph, target: Certificate,
                     max_length: int = 8) -> Verdict:
     """Validate candidate chains in discovery order; the first valid chain
     wins, otherwise the first candidate's verdict is returned, and a target
-    with no chains at all yields an unknown verdict."""
+    with no chains at all yields an unknown verdict.  Each signature is
+    checked once: the candidates share one memo, which lives only as long
+    as this call, so a repository reload never meets a stale entry."""
     first: Verdict | None = None
+    checked: dict = {}
     for chain in discover(graph, target, max_length):
-        verdict = validate_path(chain, at, cpr, revocation_config, crls_for)
+        verdict = validate_path(chain, at, cpr, revocation_config, crls_for,
+                                checked)
         if verdict.is_valid:
             return verdict
         if first is None:

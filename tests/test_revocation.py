@@ -5,6 +5,7 @@ import pytest
 
 from savacert import crypto, protocol, revocation, server as cvs
 from savacert.certs import ReasonCode, RevokedEntry, parse_crl, sign_crl
+from savacert.der import DecodeError
 from savacert.policytree import CprRequirement
 from savacert.revocation import (
     BadResponderSignature,
@@ -121,6 +122,40 @@ def test_reply_carries_revocation_details(scenarios, server_identity):
     assert verified.value is StatusValue.REVOKED
     assert verified.revocation_date == NOW
     assert verified.reason is ReasonCode.KEY_COMPROMISE
+
+
+def test_reply_with_unknown_reason_code_is_a_decode_error(scenarios,
+                                                          server_identity):
+    # cessationOfOperation (5) is valid under RFC 5280 but not a ReasonCode
+    ee = scenarios.cert("revoked-ee", "ee", "sub")
+    key = crypto.decode_key(server_identity.key_path.read_bytes())
+    query, _ = build_status_query(ee.issuer, ee.serial, nonce=10)
+    status = CertStatus(StatusValue.REVOKED, "online", None,
+                        revocation_date=NOW, reason=5)
+    reply = build_status_reply(query, status, NOW, key)
+    with pytest.raises(DecodeError, match="unknown reason code 5"):
+        verify_status_reply(reply, query, server_identity.certificate)
+
+
+def test_unknown_reason_code_leaves_revocation_undetermined(
+        scenarios, server_factory, monkeypatch):
+    handle = server_factory(scenarios.layout("happy3").out_dir,
+                            revocation="online")
+    monkeypatch.setattr(
+        revocation, "responder_status",
+        lambda crls_for_digest, digest, serial, at: CertStatus(
+            StatusValue.REVOKED, "online", None, revocation_date=NOW,
+            reason=5))
+    request = protocol.build_request(
+        targets=[scenarios.cert("happy3", "ee", "sub")],
+        cpr=CprRequirement.any_policy(), now=NOW)
+    response = protocol.parse_response(
+        handle.core.handle_dvcs_bytes(protocol.encode_request(request)))
+    assert not isinstance(response, protocol.ErrorNotice), response
+    result = response.info.results[0]
+    assert result.status is VerdictStatus.INVALID
+    assert result.reason is FailureReason.REVOCATION_UNDETERMINED
+    assert result.failing_index == 0
 
 
 def test_check_online_against_running_responder(scenarios, server_factory):

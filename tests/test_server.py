@@ -5,6 +5,7 @@ import pathlib
 import re
 import shutil
 import socket
+import socketserver
 import threading
 import urllib.request
 
@@ -470,6 +471,20 @@ def test_serials_increase_and_survive_restart(tmp_path, server_identity,
     assert send(reborn, build([ee])).info.serial_number == 4
 
 
+def test_corrupt_serial_state_fails_cleanly(tmp_path, server_identity,
+                                            scenarios, monkeypatch, capsys):
+    state = tmp_path / "state"
+    state.mkdir()
+    (state / "serial").write_text("abc\n")
+    config = tmp_path / "server.cfg"
+    config.write_text(make_server_config(
+        scenarios.layout("happy3").out_dir, state, server_identity))
+    with pytest.raises(ConfigError, match=re.escape(str(state / "serial"))):
+        cvs.CvsServer(cvs.load_server_config(config))
+    assert cvs.main(["--config", str(config)]) == 1
+    assert "error: serial state" in capsys.readouterr().err
+
+
 def test_concurrent_requests_unique_serials(tmp_path, server_identity,
                                             scenarios):
     core = make_core(tmp_path, server_identity,
@@ -753,3 +768,53 @@ def test_serial_survives_a_torn_state_write(tmp_path, server_identity,
     monkeypatch.undo()
     reborn = cvs.CvsServer(core.config)
     assert send(reborn, build([ee])).info.serial_number > max(issued)
+
+
+def test_every_response_is_one_write(scenarios, server_factory, monkeypatch):
+    # a head flushed ahead of its body would wait for the client's delayed
+    # ACK on a kept-alive connection; count the handler's socket writes
+    writes = []
+    write = socketserver._SocketWriter.write
+
+    def counted(self, data):
+        writes.append(bytes(data))
+        return write(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counted)
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    host, port = handle.httpd.server_address[:2]
+    ee = scenarios.cert("happy3", "ee", "sub")
+    dvcs = protocol.encode_request(build([ee]))
+    exchanges = [("POST", "/dvcs", dvcs, 200), ("POST", "/dvcs", dvcs, 200),
+                 ("GET", "/health", None, 200), ("GET", "/nowhere", None, 404),
+                 ("POST", "/status", b"not a query", 400)]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        for method, path, body, status in exchanges:
+            writes.clear()
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            payload = response.read()
+            assert response.status == status, path
+            assert len(writes) == 1, (method, path, len(writes))
+            assert writes[0].startswith(b"HTTP/1.1 %d " % status)
+            assert writes[0].endswith(b"\r\n\r\n" + payload)
+            assert not response.will_close
+    finally:
+        conn.close()
+
+    writes.clear()
+    reply = _raw_post(handle, str(cvs.MAX_BODY + 1))
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert writes == [reply]
+
+
+def test_http_09_request_gets_a_bare_body(scenarios, server_factory):
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    host, port = handle.httpd.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(b"GET /health\r\n\r\n")
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    assert received == b"ok\n"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from savacert import crypto, oids
+from savacert import crypto, forge, oids
 from savacert.certs import (
     BasicConstraints,
     KeyUsage,
@@ -323,3 +323,43 @@ sub -> ee
                               RevocationConfig("crl"), repo.crls_for)
     assert verdict.reason is FailureReason.NAME_CONSTRAINT
     assert verdict.failing_index == 1
+
+
+def _cross_certified_mesh(k: int) -> str:
+    """Root over k sub-CAs that all cross-certify each other; ee under s1
+    is revoked on s1's CRL."""
+    subs = [f"s{i}" for i in range(1, k + 1)]
+    lines = ["[pki]", "seed = 404", "[entity root]", "kind = rootCa"]
+    for sub in subs:
+        lines += [f"[entity {sub}]", "kind = subCa"]
+    lines += ["[entity ee]", "kind = endEntity", "[edges]"]
+    lines += [f"root -> {sub}" for sub in subs]
+    lines += [f"{a} -> {b}" for a in subs for b in subs if a != b]
+    lines += ["s1 -> ee", "[revocations]",
+              "s1 ee 20250102000000Z keyCompromise"]
+    return "\n".join(lines) + "\n"
+
+
+def test_each_signature_is_checked_once_per_target(tmp_path, monkeypatch):
+    # every candidate chain fails on the revoked end entity, so all of them
+    # are validated; they share 17 certificates and 5 CRLs
+    layout = forge.forge(forge.parse_topology(_cross_certified_mesh(4)),
+                         tmp_path)
+    repo = Repository.load(layout.out_dir)
+    target = parse_certificate(layout.cert_path("ee", "s1").read_bytes())
+    assert len(discover(repo.graph(), target)) == 499
+    verify = crypto.verify
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counted)
+    verdict = validate_target(repo.graph(), target, NOW,
+                              CprRequirement.any_policy(),
+                              RevocationConfig("crl"), repo.crls_for)
+    assert verdict.status is VerdictStatus.INVALID
+    assert verdict.reason is FailureReason.REVOKED
+    assert verdict.failing_index == 1
+    assert len(calls) <= 40
