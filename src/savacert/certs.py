@@ -600,15 +600,8 @@ def fingerprint(cert: Certificate) -> bytes:
 
 def check_signature(cert: Certificate, issuer_public_key: bytes) -> bool:
     """True iff the certificate's signature verifies under the given key."""
-    try:
-        alg = crypto.signature_algorithm(cert.signature_alg)
-    except crypto.UnknownAlgorithm:
-        return False
-    try:
-        return crypto.verify(issuer_public_key, alg, cert.tbs_der,
-                             cert.signature)
-    except crypto.MalformedKey:
-        return False
+    return crypto.verify(issuer_public_key, cert.signature_alg, cert.tbs_der,
+                         cert.signature)
 
 
 def sign_certificate(*, serial: int, issuer: Name, subject: Name,
@@ -618,7 +611,7 @@ def sign_certificate(*, serial: int, issuer: Name, subject: Name,
                      extensions: Extensions,
                      issuer_key: crypto.KeyPair) -> Certificate:
     cert = Certificate(
-        version=3, serial=serial, signature_alg=issuer_key.algorithm.oid,
+        version=3, serial=serial, signature_alg=crypto.ALGORITHM,
         issuer=issuer, not_before=not_before, not_after=not_after,
         subject=subject, public_key_alg=public_key_alg, public_key=public_key,
         extensions=extensions, signature=b"")
@@ -697,12 +690,9 @@ def parse_crl(data: bytes) -> Crl:
 
 
 def check_crl_signature(crl: Crl, issuer_public_key: bytes) -> bool:
-    try:
-        alg = crypto.signature_algorithm(crl.signature_alg)
-        return crypto.verify(issuer_public_key, alg, crl.tbs_der,
-                             crl.signature)
-    except (crypto.UnknownAlgorithm, crypto.MalformedKey):
-        return False
+    """True iff the CRL's signature verifies under the given key."""
+    return crypto.verify(issuer_public_key, crl.signature_alg, crl.tbs_der,
+                         crl.signature)
 
 
 def sign_crl(*, issuer: Name, this_update: datetime.datetime,
@@ -710,6 +700,6 @@ def sign_crl(*, issuer: Name, this_update: datetime.datetime,
              revoked: tuple[RevokedEntry, ...],
              issuer_key: crypto.KeyPair) -> Crl:
     crl = Crl(issuer, this_update, next_update, tuple(revoked),
-              issuer_key.algorithm.oid, b"")
+              crypto.ALGORITHM, b"")
     signature = crypto.sign(issuer_key, crl.tbs_der)
     return dataclasses.replace(crl, signature=signature)

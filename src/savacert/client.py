@@ -28,7 +28,7 @@ from .config import ConfigError, parse_bool, parse_sections, split_list
 from .der import DerError, Oid, parse_time
 from .policytree import CprRequirement
 from .protocol import DvcResponse, ErrorNotice, ResponseTrust, WantBack
-from .storage import Clock
+from .storage import Clock, parse_clock
 from .validation import VerdictStatus
 
 _WANT_WORDS = {
@@ -145,18 +145,10 @@ def parse_profile(text: str, base_dir: "Path | str" = ".") -> ClientProfile:
             elif key == "time_override":
                 profile.time_override = parse_time(value)
             elif key == "clock":
-                profile.clock = _parse_clock(value)
+                profile.clock = parse_clock(value, where=key)
             else:
                 raise ConfigError(f"unknown profile key {key!r}")
     return profile
-
-
-def _parse_clock(value: str) -> Clock:
-    if value == "system":
-        return Clock()
-    if value.startswith("fixed"):
-        return Clock(fixed=parse_time(value.split(None, 1)[1].strip()))
-    raise ConfigError(f"bad clock {value!r}")
 
 
 def _parse_want(value: str) -> frozenset:
@@ -308,7 +300,7 @@ def inspect(path: "Path | str", out=None) -> int:
             continue
     try:
         key = crypto.decode_key(data)
-        print(f"private key file: algorithm {key.algorithm.name}, "
+        print("private key file: algorithm ed25519, "
               f"public key {key.public_key.hex()}", file=out)
         return 0
     except (DerError, crypto.CryptoError):
@@ -406,7 +398,7 @@ def main(argv: "list[str] | None" = None) -> int:
                    if args.profile else ClientProfile())
         profile = _apply_overrides(profile, args)
         return validate(profile, args.targets)
-    except (ConfigError, ProfileError, ValueError, OSError) as exc:
+    except (ConfigError, ProfileError, DerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
 """Signature and digest primitives.
 
-Signature schemes sit behind an OID-keyed registry with one deterministic
-scheme (Ed25519) registered; callers name a scheme by OID only, so further
-schemes can be added without touching them.  The digest (SHA-256) is fixed:
-no input OID selects it, and ``digest`` is the one place that chooses it.
+There is one signature algorithm, Ed25519 (deterministic), named on the
+wire by ``ALGORITHM``.  Every signer embeds that OID, and ``verify`` is the
+one signature check (RFC 5280 6.1.3 (a)) behind all five kinds of signed
+object: it answers False for any other OID, a malformed key or a bad
+signature, and never raises.  The digest (SHA-256) is fixed too: no input
+OID selects it, and ``digest`` is the one place that chooses it.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from . import oids
 from .der import Oid, OctetString, Sequence, decode_exact, encode
 
+ALGORITHM = oids.ALG_ED25519
+
 
 class CryptoError(Exception):
     pass
-
-
-class UnknownAlgorithm(CryptoError):
-    def __init__(self, oid: Oid):
-        super().__init__(f"no registered algorithm {oid}")
-        self.oid = oid
 
 
 class MalformedKey(CryptoError):
@@ -37,41 +35,26 @@ class MalformedKey(CryptoError):
 
 
 @dataclass(frozen=True)
-class AlgorithmId:
-    oid: Oid
-    name: str
-
-
-@dataclass(frozen=True)
 class KeyPair:
-    algorithm: AlgorithmId
     public_key: bytes
     private_key: bytes
 
 
-ED25519 = AlgorithmId(oids.ALG_ED25519, "ed25519")
-
-_SIGNATURE_ALGORITHMS = {ED25519.oid: ED25519}
-
-
-def signature_algorithm(oid: Oid) -> AlgorithmId:
-    try:
-        return _SIGNATURE_ALGORITHMS[oid]
-    except KeyError:
-        raise UnknownAlgorithm(oid) from None
-
-
-def generate(algorithm: AlgorithmId, seed: bytes | None = None) -> KeyPair:
+def generate(seed: bytes | None = None) -> KeyPair:
     """Generate a key pair; a seed of any length makes it deterministic."""
-    signature_algorithm(algorithm.oid)
     raw = hashlib.sha256(seed).digest() if seed is not None else os.urandom(32)
-    private = Ed25519PrivateKey.from_private_bytes(raw)
-    public = private.public_key().public_bytes_raw()
-    return KeyPair(algorithm, public, raw)
+    return _key_pair(raw)
+
+
+def _key_pair(raw: bytes) -> KeyPair:
+    try:
+        private = Ed25519PrivateKey.from_private_bytes(raw)
+    except ValueError as exc:
+        raise MalformedKey(str(exc)) from exc
+    return KeyPair(private.public_key().public_bytes_raw(), raw)
 
 
 def sign(key: KeyPair, message: bytes) -> bytes:
-    signature_algorithm(key.algorithm.oid)
     try:
         private = Ed25519PrivateKey.from_private_bytes(key.private_key)
     except ValueError as exc:
@@ -79,18 +62,18 @@ def sign(key: KeyPair, message: bytes) -> bytes:
     return private.sign(message)
 
 
-def verify(public_key: bytes, algorithm: AlgorithmId, message: bytes,
+def verify(public_key: bytes, algorithm: Oid, message: bytes,
            signature: bytes) -> bool:
-    signature_algorithm(algorithm.oid)
-    try:
-        key = Ed25519PublicKey.from_public_bytes(public_key)
-    except ValueError as exc:
-        raise MalformedKey(str(exc)) from exc
-    try:
-        key.verify(signature, message)
-        return True
-    except InvalidSignature:
+    """True iff ``algorithm`` is ``ALGORITHM``, the key is well-formed and
+    the signature verifies; False in every other case."""
+    if algorithm != ALGORITHM:
         return False
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature,
+                                                              message)
+    except (ValueError, InvalidSignature):
+        return False
+    return True
 
 
 def digest(data: bytes) -> bytes:
@@ -99,7 +82,7 @@ def digest(data: bytes) -> bytes:
 
 def encode_key(key: KeyPair) -> bytes:
     """Key file body: SEQUENCE { algorithm OID, privateKey OCTET STRING }."""
-    return encode(Sequence([key.algorithm.oid, OctetString(key.private_key)]))
+    return encode(Sequence([ALGORITHM, OctetString(key.private_key)]))
 
 
 def decode_key(data: bytes) -> KeyPair:
@@ -108,10 +91,7 @@ def decode_key(data: bytes) -> KeyPair:
             and isinstance(value.elements[0], Oid)
             and isinstance(value.elements[1], OctetString)):
         raise MalformedKey("key file is not SEQUENCE {OID, OCTET STRING}")
-    algorithm = signature_algorithm(value.elements[0])
-    raw = value.elements[1].value
-    try:
-        private = Ed25519PrivateKey.from_private_bytes(raw)
-    except ValueError as exc:
-        raise MalformedKey(str(exc)) from exc
-    return KeyPair(algorithm, private.public_key().public_bytes_raw(), raw)
+    if value.elements[0] != ALGORITHM:
+        raise MalformedKey(f"key file names algorithm {value.elements[0]}, "
+                           f"not {ALGORITHM}")
+    return _key_pair(value.elements[1].value)

@@ -257,8 +257,7 @@ def forge(spec: TopologySpec, out_dir: "Path | str") -> RepositoryLayout:
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     keys = {
-        label: crypto.generate(crypto.ED25519,
-                               seed=f"{spec.seed}:{label}".encode())
+        label: crypto.generate(seed=f"{spec.seed}:{label}".encode())
         for label in spec.entities
     }
     for label, key in keys.items():
@@ -284,7 +283,7 @@ def forge(spec: TopologySpec, out_dir: "Path | str") -> RepositoryLayout:
         cert = sign_certificate(
             serial=serial, issuer=issuer.name, subject=subject.name,
             not_before=not_before, not_after=not_after,
-            public_key_alg=keys[subject_label].algorithm.oid,
+            public_key_alg=crypto.ALGORITHM,
             public_key=keys[subject_label].public_key,
             extensions=_entity_extensions(subject, issuer_label),
             issuer_key=keys[issuer_label])

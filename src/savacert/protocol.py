@@ -419,7 +419,7 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
             raise ProtocolError("request signing needs the signer certificate")
         value = crypto.sign(signer_key, encode(_request_body(request)))
         request = dataclasses.replace(request, signature=RequestSignature(
-            signer_cert, signer_key.algorithm.oid, value))
+            signer_cert, crypto.ALGORITHM, value))
     return request
 
 
@@ -472,12 +472,8 @@ def verify_request_signature(request: ValidationRequest) -> bool:
     if request.signature is None:
         return False
     sig = request.signature
-    try:
-        alg = crypto.signature_algorithm(sig.algorithm)
-        return crypto.verify(sig.signer.public_key, alg,
-                             encode(_request_body(request)), sig.value)
-    except crypto.CryptoError:
-        return False
+    return crypto.verify(sig.signer.public_key, sig.algorithm,
+                         encode(_request_body(request)), sig.value)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +611,7 @@ def _signed_envelope(kind: int, info: DerValue,
     if key is not None:
         signature = crypto.sign(key, info_der)
         parts += [ContextTagged(0, Raw(signer.der)),
-                  ContextTagged(1, Sequence([key.algorithm.oid,
+                  ContextTagged(1, Sequence([crypto.ALGORITHM,
                                              BitString(signature, 0)]))]
     return encode(ContextTagged(kind, Sequence(parts)))
 
@@ -725,11 +721,7 @@ def verify_response(message, expected: RequestInformation,
     if message.signer is None:
         raise BadServerSignature("signed response without a signer certificate")
     alg_oid, value = message.signature
-    try:
-        alg = crypto.signature_algorithm(alg_oid)
-    except crypto.UnknownAlgorithm as exc:
-        raise BadServerSignature(str(exc)) from exc
-    if not crypto.verify(message.signer.public_key, alg,
+    if not crypto.verify(message.signer.public_key, alg_oid,
                          _signed_part_der(message), value):
         raise BadServerSignature("server signature does not verify")
 

@@ -183,7 +183,7 @@ def build_status_reply(query_der: bytes, status: CertStatus,
                        responder_key: crypto.KeyPair) -> bytes:
     """Signed reply echoing the (already parsed) query byte-exactly."""
     signed_part = [Raw(query_der), _status_body(status),
-                   GeneralizedTime(produced_at), responder_key.algorithm.oid]
+                   GeneralizedTime(produced_at), crypto.ALGORITHM]
     signature = crypto.sign(responder_key, encode(Sequence(signed_part)))
     return encode(Sequence(signed_part + [BitString(signature, 0)]))
 
@@ -198,8 +198,7 @@ def verify_status_reply(reply_der: bytes, query_der: bytes,
             and isinstance(value.elements[4], BitString)):
         raise DecodeError("bad status reply shape")
     signed_part = Sequence(value.elements[:4])
-    alg = crypto.signature_algorithm(value.elements[3])
-    if not crypto.verify(responder_cert.public_key, alg,
+    if not crypto.verify(responder_cert.public_key, value.elements[3],
                          encode(signed_part), value.elements[4].value):
         raise BadResponderSignature("status reply signature does not verify")
     echoed = encode(value.elements[0])

@@ -41,7 +41,7 @@ from .protocol import (
     WantBack,
 )
 from .revocation import STATUS_CONTENT_TYPE
-from .storage import Clock, Repository
+from .storage import Clock, Repository, parse_clock
 from .validation import (
     REVOCATION_REGIMES,
     RevocationConfig,
@@ -174,13 +174,6 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
     name_text = server_section.get("name")
     if not name_text:
         raise ConfigError("[server] needs a name")
-    clock_text = server_section.get("clock", "system")
-    if clock_text == "system":
-        clock = Clock()
-    elif clock_text.startswith("fixed"):
-        clock = Clock(fixed=parse_time(clock_text.split(None, 1)[1].strip()))
-    else:
-        raise ConfigError(f"bad clock {clock_text!r}")
 
     def _path(key: str, default: str | None = None) -> Path | None:
         value = server_section.get(key, default)
@@ -198,7 +191,8 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
         serial_state=_path("serial_state", "serial.state"),
         listen=parse_listen(server_section.get("listen", "127.0.0.1:0"),
                             where="[server] listen"),
-        clock=clock,
+        clock=parse_clock(server_section.get("clock", "system"),
+                          where="[server] clock"),
         status_responder=parse_bool(
             server_section.get("status_responder", "true"), where="[server]"),
         responder_url=server_section.get("responder_url"),
@@ -409,10 +403,11 @@ class CvsServer:
             want = policy.default_want_backs
 
         results = []
+        checked: dict = {}  # signature memo shared by this request's targets
         for target in targets:
             verdict = validate_target(
                 graph, target, at, cpr, revocation_config,
-                repository.crls_for, policy.max_chain_length)
+                repository.crls_for, policy.max_chain_length, checked)
             results.append(TargetResult(
                 target_fingerprint=protocol.target_fingerprint(target),
                 status=verdict.status,
@@ -536,6 +531,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, STATUS_CONTENT_TYPE, reply)
         else:
             self._send(404, "text/plain", b"not found\n")
+
+    def send_error(self, code, message=None, explain=None):
+        """http.server's own error replies (501 for an unknown method, 400
+        for a malformed request line), as plain text in one write."""
+        text = message or self.responses.get(code, ("error",))[0]
+        self._send(code, "text/plain", f"{text}\n".encode(), close=True)
 
     def log_message(self, format, *args):  # route to logging, not stderr
         log.debug("http %s " + format, self.address_string(), *args)

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .certs import Crl, Name, parse_certificate, parse_crl
+from .config import ConfigError
+from .der import DerError, parse_time
 from .pathbuild import CertGraph
 from .revocation import issuer_digest
 
@@ -116,3 +118,17 @@ class Clock:
         if self.fixed is not None:
             return self.fixed
         return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+
+
+def parse_clock(value: str, *, where: str) -> Clock:
+    """A clock setting: ``system``, or ``fixed <YYYYMMDDHHMMSSZ>``."""
+    words = value.split(None, 1)
+    if words == ["system"]:
+        return Clock()
+    if len(words) == 2 and words[0] == "fixed":
+        try:
+            return Clock(fixed=parse_time(words[1].strip()))
+        except DerError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    raise ConfigError(f"{where}: expected 'system' or 'fixed <time>', "
+                      f"got {value!r}")

@@ -227,14 +227,17 @@ def validate_path(chain: CandidateChain, at: datetime.datetime,
 def validate_target(graph: CertGraph, target: Certificate,
                     at: datetime.datetime, cpr: CprRequirement,
                     revocation_config: RevocationConfig, crls_for,
-                    max_length: int = 8) -> Verdict:
+                    max_length: int = 8,
+                    checked: dict | None = None) -> Verdict:
     """Validate candidate chains in discovery order; the first valid chain
     wins, otherwise the first candidate's verdict is returned, and a target
     with no chains at all yields an unknown verdict.  Each signature is
-    checked once: the candidates share one memo, which lives only as long
-    as this call, so a repository reload never meets a stale entry."""
+    checked once: the candidates share the memo ``checked``, which the
+    caller keeps for one request at most (a fresh one by default), so a
+    repository reload never meets a stale entry."""
+    if checked is None:
+        checked = {}
     first: Verdict | None = None
-    checked: dict = {}
     for chain in discover(graph, target, max_length):
         verdict = validate_path(chain, at, cpr, revocation_config, crls_for,
                                 checked)

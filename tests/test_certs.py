@@ -46,8 +46,8 @@ UTC = datetime.timezone.utc
 EPOCH = datetime.datetime(2025, 1, 1, tzinfo=UTC)
 LATER = datetime.datetime(2035, 1, 1, tzinfo=UTC)
 
-ROOT_KEY = crypto.generate(crypto.ED25519, seed=b"test-root")
-OTHER_KEY = crypto.generate(crypto.ED25519, seed=b"test-other")
+ROOT_KEY = crypto.generate(seed=b"test-root")
+OTHER_KEY = crypto.generate(seed=b"test-other")
 ROOT_NAME = Name.from_string("C=IT, O=Test PKI, CN=root")
 
 
@@ -268,8 +268,8 @@ def test_name_from_string_errors():
 
 
 def test_unknown_signature_algorithm_never_crashes():
-    # a certificate asserting an unregistered algorithm parses fine and
-    # simply fails verification
+    # a certificate asserting an unknown algorithm parses fine and simply
+    # fails verification
     cert = make_cert()
     odd = dataclasses.replace(cert, signature_alg=Oid("1.2.3.4.5.6"))
     parsed = parse_certificate(odd.der)

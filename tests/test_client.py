@@ -291,6 +291,28 @@ def test_tampered_signature_rejected(scenarios, server_identity,
     assert "BadServerSignature" in text
 
 
+def test_signer_with_malformed_key_is_a_bad_signature(scenarios,
+                                                     server_identity,
+                                                     fault_server):
+    # a 5-byte public key verifies nothing: a clean error, not a traceback
+    key = crypto.decode_key(server_identity.key_path.read_bytes())
+    signer = dataclasses.replace(server_identity.certificate,
+                                 public_key=b"\x01" * 5)
+
+    def transform(body):
+        request = protocol.parse_request(body)
+        info = protocol.DvcInfo(1, NOW, request.info, (_result_for(request),))
+        return protocol.sign_dvc(info, signer, key)
+
+    double = fault_server(transform)
+    profile = make_profile(double.url, server_identity)
+    code, text = run_validate(
+        profile, [scenarios.cert_path("happy3", "ee", "sub")])
+    assert code == 1
+    assert text == ("error: BadServerSignature: "
+                    "server signature does not verify\n")
+
+
 def test_wrong_pin_rejected(scenarios, server_factory):
     handle = server_factory(scenarios.layout("happy3").out_dir)
     profile = make_profile(handle.url, handle.identity,
@@ -468,6 +490,10 @@ thin = true
         rp.parse_profile("[client]\nwant = chain, nonsense\n", tmp_path)
     with pytest.raises(ConfigError):
         rp.parse_profile("[client]\nmystery_key = 1\n", tmp_path)
+    for setting in ("fixed", "fixed 2025", "fixed-ish",
+                    "fixed 20250231000000Z", "system now"):
+        with pytest.raises(ConfigError, match=r"^clock: "):
+            rp.parse_profile(f"[client]\nclock = {setting}\n", tmp_path)
 
     bad = rp.ClientProfile(sign_request=True)
     with pytest.raises(rp.ProfileError):
@@ -555,3 +581,19 @@ pinned_fingerprint = {handle.identity.fingerprint.hex()}
     assert rp.main(["validate", "--profile", str(profile_path),
                     "--weak-usage", "fax", str(target)]) == 1
     assert rp.main(["inspect", str(target)]) == 0
+
+    # a malformed time, in a flag or in the profile, is a clean error
+    capsys.readouterr()
+    for argv in (["--clock-fixed", "2025"], ["--time-override", "2025"]):
+        assert rp.main(["validate", *argv, str(target)]) == 1
+    for line in ("clock = fixed", "clock = fixed 2025",
+                 "time_override = 2025"):
+        profile_path.write_text(f"[client]\n{line}\n")
+        assert rp.main(["validate", "--profile", str(profile_path),
+                        str(target)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 5
+    assert all(e.startswith("error: ") for e in errors)
+    assert errors[2:4] == [
+        "error: clock: expected 'system' or 'fixed <time>', got 'fixed'",
+        "error: clock: malformed GeneralizedTime '2025'"]

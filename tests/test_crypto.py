@@ -4,53 +4,54 @@ import random
 import pytest
 
 from savacert import crypto
-from savacert.der import Oid
+from savacert.der import OctetString, Oid, Sequence, encode
 
 
 def test_seeded_generation_is_deterministic():
-    a = crypto.generate(crypto.ED25519, seed=b"\x00" * 32)
-    b = crypto.generate(crypto.ED25519, seed=b"\x00" * 32)
+    a = crypto.generate(seed=b"\x00" * 32)
+    b = crypto.generate(seed=b"\x00" * 32)
     assert a == b
-    assert a.public_key != crypto.generate(crypto.ED25519, seed=b"x").public_key
+    assert a.public_key != crypto.generate(seed=b"x").public_key
 
 
 def test_unseeded_generation_is_random():
-    a = crypto.generate(crypto.ED25519)
-    b = crypto.generate(crypto.ED25519)
+    a = crypto.generate()
+    b = crypto.generate()
     assert a.public_key != b.public_key
 
 
 def test_unknown_algorithm_rejected():
-    bogus = crypto.AlgorithmId(Oid("1.2.3.4"), "bogus")
-    with pytest.raises(crypto.UnknownAlgorithm):
-        crypto.generate(bogus)
-    with pytest.raises(crypto.UnknownAlgorithm):
-        crypto.verify(b"\x00" * 32, bogus, b"m", b"s")
+    # a signature that verifies under Ed25519 still fails under any other OID
+    key = crypto.generate(seed=b"k")
+    signature = crypto.sign(key, b"m")
+    assert crypto.verify(key.public_key, crypto.ALGORITHM, b"m", signature)
+    assert not crypto.verify(key.public_key, Oid("1.2.3.4"), b"m", signature)
 
 
 def test_sign_verify_and_bit_flips():
-    key = crypto.generate(crypto.ED25519, seed=b"signer")
+    key = crypto.generate(seed=b"signer")
     message = b"the quick brown fox"
     signature = crypto.sign(key, message)
-    assert crypto.verify(key.public_key, crypto.ED25519, message, signature)
+    assert crypto.verify(key.public_key, crypto.ALGORITHM, message, signature)
     flipped = bytearray(message)
     flipped[0] ^= 0x01
-    assert not crypto.verify(key.public_key, crypto.ED25519,
+    assert not crypto.verify(key.public_key, crypto.ALGORITHM,
                              bytes(flipped), signature)
     broken = bytearray(signature)
     broken[-1] ^= 0x80
-    assert not crypto.verify(key.public_key, crypto.ED25519,
+    assert not crypto.verify(key.public_key, crypto.ALGORITHM,
                              message, bytes(broken))
-    other = crypto.generate(crypto.ED25519, seed=b"other")
-    assert not crypto.verify(other.public_key, crypto.ED25519,
+    other = crypto.generate(seed=b"other")
+    assert not crypto.verify(other.public_key, crypto.ALGORITHM,
                              message, signature)
 
 
 def test_malformed_public_key():
-    key = crypto.generate(crypto.ED25519, seed=b"k")
-    with pytest.raises(crypto.MalformedKey):
-        crypto.verify(b"\x01\x02", crypto.ED25519, b"m",
-                      crypto.sign(key, b"m"))
+    key = crypto.generate(seed=b"k")
+    for public_key in (b"", b"\x01\x02", b"\x01" * 5,
+                       key.public_key + b"\x00"):
+        assert not crypto.verify(public_key, crypto.ALGORITHM, b"m",
+                                 crypto.sign(key, b"m"))
 
 
 def test_digest_known_value_and_stability():
@@ -64,15 +65,25 @@ def test_digest_known_value_and_stability():
 def test_sign_verify_roundtrip_many_random_pairs():
     rng = random.Random(1234)
     for _ in range(1000):
-        key = crypto.generate(crypto.ED25519, seed=rng.randbytes(16))
+        key = crypto.generate(seed=rng.randbytes(16))
         message = rng.randbytes(rng.randint(0, 64))
-        assert crypto.verify(key.public_key, crypto.ED25519, message,
+        assert crypto.verify(key.public_key, crypto.ALGORITHM, message,
                              crypto.sign(key, message))
 
 
 def test_key_file_roundtrip():
-    key = crypto.generate(crypto.ED25519, seed=b"file")
+    key = crypto.generate(seed=b"file")
     data = crypto.encode_key(key)
     assert crypto.decode_key(data) == key
     with pytest.raises(crypto.MalformedKey):
         crypto.decode_key(b"\x30\x02\x05\x00")
+
+
+def test_key_file_naming_another_algorithm_is_malformed():
+    key = crypto.generate(seed=b"file")
+    other = encode(Sequence([Oid("1.2.3.4"), OctetString(key.private_key)]))
+    with pytest.raises(crypto.MalformedKey, match="1.2.3.4"):
+        crypto.decode_key(other)
+    short = encode(Sequence([crypto.ALGORITHM, OctetString(b"\x01" * 5)]))
+    with pytest.raises(crypto.MalformedKey):
+        crypto.decode_key(short)

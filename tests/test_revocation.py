@@ -5,7 +5,14 @@ import pytest
 
 from savacert import crypto, protocol, revocation, server as cvs
 from savacert.certs import ReasonCode, RevokedEntry, parse_crl, sign_crl
-from savacert.der import DecodeError
+from savacert.der import (
+    BitString,
+    DecodeError,
+    Oid,
+    Sequence,
+    decode_exact,
+    encode,
+)
 from savacert.policytree import CprRequirement
 from savacert.revocation import (
     BadResponderSignature,
@@ -137,15 +144,9 @@ def test_reply_with_unknown_reason_code_is_a_decode_error(scenarios,
         verify_status_reply(reply, query, server_identity.certificate)
 
 
-def test_unknown_reason_code_leaves_revocation_undetermined(
-        scenarios, server_factory, monkeypatch):
-    handle = server_factory(scenarios.layout("happy3").out_dir,
-                            revocation="online")
-    monkeypatch.setattr(
-        revocation, "responder_status",
-        lambda crls_for_digest, digest, serial, at: CertStatus(
-            StatusValue.REVOKED, "online", None, revocation_date=NOW,
-            reason=5))
+def _assert_ee_revocation_undetermined(scenarios, handle):
+    """A request for happy3's ee gets a DVC, not an error notice, whose
+    verdict is INVALID/REVOCATION_UNDETERMINED at index 0."""
     request = protocol.build_request(
         targets=[scenarios.cert("happy3", "ee", "sub")],
         cpr=CprRequirement.any_policy(), now=NOW)
@@ -156,6 +157,35 @@ def test_unknown_reason_code_leaves_revocation_undetermined(
     assert result.status is VerdictStatus.INVALID
     assert result.reason is FailureReason.REVOCATION_UNDETERMINED
     assert result.failing_index == 0
+
+
+def test_unknown_reason_code_leaves_revocation_undetermined(
+        scenarios, server_factory, monkeypatch):
+    handle = server_factory(scenarios.layout("happy3").out_dir,
+                            revocation="online")
+    monkeypatch.setattr(
+        revocation, "responder_status",
+        lambda crls_for_digest, digest, serial, at: CertStatus(
+            StatusValue.REVOKED, "online", None, revocation_date=NOW,
+            reason=5))
+    _assert_ee_revocation_undetermined(scenarios, handle)
+
+
+def test_reply_under_unknown_algorithm_leaves_revocation_undetermined(
+        scenarios, server_factory, monkeypatch):
+    handle = server_factory(scenarios.layout("happy3").out_dir,
+                            revocation="online")
+    build = revocation.build_status_reply
+
+    def odd_algorithm(query_der, status, produced_at, key):
+        # a well-formed reply signed by the right key under OID 1.2.3.4
+        reply = decode_exact(build(query_der, status, produced_at, key))
+        signed = Sequence([*reply.elements[:3], Oid("1.2.3.4")])
+        signature = BitString(crypto.sign(key, encode(signed)), 0)
+        return encode(Sequence([*signed.elements, signature]))
+
+    monkeypatch.setattr(revocation, "build_status_reply", odd_algorithm)
+    _assert_ee_revocation_undetermined(scenarios, handle)
 
 
 def test_check_online_against_running_responder(scenarios, server_factory):

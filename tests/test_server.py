@@ -418,6 +418,27 @@ def test_request_work_does_not_grow_with_the_repository(
     assert counts[0] == counts[1]
 
 
+def test_targets_of_one_request_share_signature_checks(happy_core, scenarios,
+                                                      monkeypatch):
+    # ee's chain holds two certificate and two CRL signatures; naming ee
+    # twice in one request checks each of them once
+    verify = crypto.verify
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counted)
+    ee = scenarios.cert("happy3", "ee", "sub")
+    for targets in ([ee], [ee, ee]):
+        calls.clear()
+        response = send(happy_core, build(targets))
+        assert [r.status for r in response.info.results] == (
+            [VerdictStatus.VALID] * len(targets))
+        assert len(calls) == 4
+
+
 def test_want_backs_selection(happy_core, scenarios):
     ee = scenarios.cert("happy3", "ee", "sub")
     full = send(happy_core, build(
@@ -637,8 +658,12 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ({"server_lines": ("listen = 127.0.0.1:65536",)}, [],
      "[server] listen port"),
     ({}, ["--listen", "127.0.0.1:http"], "--listen port"),
+    ({"clock": ""}, [], "[server] clock: expected"),
+    ({"clock": "2025"}, [], "[server] clock: malformed"),
+    ({"clock": "20250231000000Z"}, [], "[server] clock: impossible"),
 ], ids=["length-0", "length-negative", "length-word", "skew-negative",
-        "port-too-large", "cli-port-word"])
+        "port-too-large", "cli-port-word", "clock-no-time", "clock-short-time",
+        "clock-impossible-time"])
 def test_bad_integer_settings_fail_at_load(tmp_path, server_identity,
                                            monkeypatch, capsys, settings,
                                            argv, where):
@@ -696,18 +721,23 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _raw_post(handle, length_header: str, body: bytes = b"") -> bytes:
-    """Send one POST with a hand-written Content-Length and read until the
-    server closes; a server that waits for more input times out here."""
-    host, port = handle.httpd.server_address[:2]
-    with socket.create_connection((host, port), timeout=5) as sock:
-        sock.sendall(f"POST /dvcs HTTP/1.1\r\nHost: {host}\r\n"
-                     f"Content-Length: {length_header}\r\n\r\n".encode()
-                     + body)
+def _raw_exchange(handle, data: bytes) -> bytes:
+    """Send hand-written request bytes on a new connection and read until
+    the server closes; a server that waits for more input times out here."""
+    with socket.create_connection(handle.httpd.server_address[:2],
+                                  timeout=5) as sock:
+        sock.sendall(data)
         received = b""
         while chunk := sock.recv(65536):
             received += chunk
     return received
+
+
+def _raw_post(handle, length_header: str, body: bytes = b"") -> bytes:
+    """One POST with a hand-written Content-Length."""
+    return _raw_exchange(handle, f"POST /dvcs HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length_header}\r\n\r\n".encode()
+                         + body)
 
 
 @pytest.mark.parametrize("length", ["abc", "-5", "+7", "1e3", ""])
@@ -808,13 +838,18 @@ def test_every_response_is_one_write(scenarios, server_factory, monkeypatch):
     assert reply.startswith(b"HTTP/1.1 413 ")
     assert writes == [reply]
 
+    # replies http.server writes itself: 501 for an unknown method, 400 for
+    # a malformed request line
+    for data, status in [
+            (b"PUT /dvcs HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+            (b"GET /health extra HTTP/1.1\r\n\r\n", 400)]:
+        writes.clear()
+        reply = _raw_exchange(handle, data)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close\r\n" in reply
+        assert writes == [reply]
+
 
 def test_http_09_request_gets_a_bare_body(scenarios, server_factory):
     handle = server_factory(scenarios.layout("happy3").out_dir)
-    host, port = handle.httpd.server_address[:2]
-    with socket.create_connection((host, port), timeout=5) as sock:
-        sock.sendall(b"GET /health\r\n\r\n")
-        received = b""
-        while chunk := sock.recv(65536):
-            received += chunk
-    assert received == b"ok\n"
+    assert _raw_exchange(handle, b"GET /health\r\n\r\n") == b"ok\n"

@@ -244,8 +244,8 @@ def test_crl_then_online_falls_back(scenarios, server_factory):
 
 
 def test_unknown_critical_extension_rejected():
-    root_key = crypto.generate(crypto.ED25519, seed=b"uc-root")
-    leaf_key = crypto.generate(crypto.ED25519, seed=b"uc-leaf")
+    root_key = crypto.generate(seed=b"uc-root")
+    leaf_key = crypto.generate(seed=b"uc-leaf")
     root_name = Name.from_string("CN=uc-root")
     leaf_name = Name.from_string("CN=uc-leaf")
     from savacert.certs import Extension, Extensions
@@ -269,9 +269,9 @@ def test_unknown_critical_extension_rejected():
 
 
 def test_key_usage_without_cert_sign_rejected():
-    root_key = crypto.generate(crypto.ED25519, seed=b"ku-root")
-    mid_key = crypto.generate(crypto.ED25519, seed=b"ku-mid")
-    leaf_key = crypto.generate(crypto.ED25519, seed=b"ku-leaf")
+    root_key = crypto.generate(seed=b"ku-root")
+    mid_key = crypto.generate(seed=b"ku-mid")
+    leaf_key = crypto.generate(seed=b"ku-leaf")
     root_name = Name.from_string("CN=ku-root")
     mid_name = Name.from_string("CN=ku-mid")
     leaf_name = Name.from_string("CN=ku-leaf")
