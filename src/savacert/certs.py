@@ -2,7 +2,8 @@
 
 A certificate or CRL is its DER: it encodes its model once, when built, into
 ``der`` and ``tbs_der``, which are hashed, signed and verified as they are.
-Parsing is canonical: a parsed object's ``der`` must equal its input bytes.
+Parsing is canonical: a parsed object's ``der`` must equal the bytes its
+value was decoded from.
 Unknown extensions are preserved opaquely, and an unknown *critical*
 extension marks the certificate so validation can reject it.  Name
 comparison folds ASCII case and trims whitespace.
@@ -574,24 +575,23 @@ def _parse_tbs(value: DerValue, signature: bytes) -> Certificate:
         extensions=extensions, signature=signature)
 
 
-def _certificate(value: DerValue, encoded: bytes) -> Certificate:
+def certificate_from_value(value: DerValue, stored=None) -> Certificate:
+    """``stored`` maps fingerprints to certificates parsed before; one with
+    the value's bytes is returned as it is, not parsed again."""
     if not (isinstance(value, Sequence) and len(value.elements) == 2
             and isinstance(value.elements[1], BitString)
             and value.elements[1].unused_bits == 0):
         raise StructureMismatch("bad certificate envelope")
+    if stored and (cert := stored.get(crypto.digest(value.der))) is not None:
+        return cert
     cert = _parse_tbs(value.elements[0], value.elements[1].value)
-    if cert.der != encoded:
+    if cert.der != value.der:
         raise StructureMismatch("certificate does not re-encode canonically")
     return cert
 
 
-def certificate_from_value(value: DerValue) -> Certificate:
-    return _certificate(value, encode(value))
-
-
 def parse_certificate(data: bytes) -> Certificate:
-    # the decoder accepts only DER, so ``data`` is the encoding of its value
-    return _certificate(decode_exact(data), bytes(data))
+    return certificate_from_value(decode_exact(data))
 
 
 def fingerprint(cert: Certificate) -> bytes:
@@ -641,7 +641,7 @@ def _crl_tbs_value(crl: Crl) -> Sequence:
     ])
 
 
-def _crl(value: DerValue, encoded: bytes) -> Crl:
+def crl_from_value(value: DerValue) -> Crl:
     if not (isinstance(value, Sequence) and len(value.elements) == 2
             and isinstance(value.elements[1], BitString)
             and value.elements[1].unused_bits == 0):
@@ -676,17 +676,13 @@ def _crl(value: DerValue, encoded: bytes) -> Crl:
         raise StructureMismatch("revoked serials must be strictly increasing")
     crl = Crl(issuer, this_update, next_update, tuple(entries),
               tbs.elements[4], value.elements[1].value)
-    if crl.der != encoded:
+    if crl.der != value.der:
         raise StructureMismatch("CRL does not re-encode canonically")
     return crl
 
 
-def crl_from_value(value: DerValue) -> Crl:
-    return _crl(value, encode(value))
-
-
 def parse_crl(data: bytes) -> Crl:
-    return _crl(decode_exact(data), bytes(data))
+    return crl_from_value(decode_exact(data))
 
 
 def check_crl_signature(crl: Crl, issuer_public_key: bytes) -> bool:

@@ -311,47 +311,47 @@ def inspect(path: "Path | str", out=None) -> int:
 
 
 def _apply_overrides(profile: ClientProfile, args) -> ClientProfile:
-    if args.server_url:
+    if args.server_url is not None:
         profile.server_url = args.server_url
-    if args.server_name:
+    if args.server_name is not None:
         profile.server_name = Name.from_string(args.server_name)
-    if args.strict_policy:
+    if args.strict_policy is not None:
         profile.acceptable_policies = tuple(
             Oid(p) for p in split_list(args.strict_policy))
-    if args.weak_usage:
+    if args.weak_usage is not None:
         profile.weak_usage = args.weak_usage
     if args.explicit_policy:
         profile.explicit_policy_required = True
     if args.inhibit_mapping:
         profile.inhibit_policy_mapping = True
-    if args.request_policy:
+    if args.request_policy is not None:
         profile.request_policy = Oid(args.request_policy)
-    if args.want:
+    if args.want is not None:
         profile.want_backs = _parse_want(args.want)
     if args.sign:
         profile.sign_request = True
-    if args.key:
+    if args.key is not None:
         profile.key_path = args.key
-    if args.certificate:
+    if args.certificate is not None:
         profile.cert_path = args.certificate
     if args.trust_unsigned:
         profile.trust_unsigned = True
-    if args.pin:
+    if args.pin is not None:
         profile.server_cert_check = "pinned"
         profile.pinned_fingerprint = bytes.fromhex(args.pin)
-    if args.server_cert_check:
+    if args.server_cert_check is not None:
         profile.server_cert_check = args.server_cert_check
-    if args.responder_certificate:
+    if args.responder_certificate is not None:
         profile.responder_cert_path = args.responder_certificate
-    if args.store_evidence:
+    if args.store_evidence is not None:
         profile.store_evidence = args.store_evidence
-    if args.supply:
+    if args.supply is not None:
         profile.supply = tuple(Path(p) for p in split_list(args.supply))
     if args.thin:
         profile.thin = True
-    if args.time_override:
+    if args.time_override is not None:
         profile.time_override = parse_time(args.time_override)
-    if args.clock_fixed:
+    if args.clock_fixed is not None:
         profile.clock = Clock(fixed=parse_time(args.clock_fixed))
     return profile
 

@@ -3,13 +3,14 @@
 Values are plain frozen dataclasses; ``encode`` produces the unique DER
 encoding and ``decode`` accepts only that encoding (re-encoding a decoded
 value is byte-identical).  Anything outside the supported tag set, any
-non-minimal length or integer, and any indefinite length is rejected.
+non-minimal length or integer, and any indefinite length is rejected.  A
+decoded SEQUENCE keeps the bytes it was read from in ``der``.
 """
 
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 MAX_DEPTH = 32          # decoder recursion bound
@@ -120,9 +121,12 @@ class Null:
 @dataclass(frozen=True)
 class Sequence:
     elements: tuple["DerValue", ...]
+    # the TLV it was decoded from (None if built in code); encode ignores it
+    der: bytes | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, elements):
+    def __init__(self, elements, der: bytes | None = None):
         object.__setattr__(self, "elements", tuple(elements))
+        object.__setattr__(self, "der", der)
 
 
 @dataclass(frozen=True)
@@ -342,6 +346,7 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
         raise DecodeError("nesting depth exceeds limit")
     if pos >= end:
         raise Truncated("expected a tag octet")
+    start = pos
     tag = data[pos]
     pos += 1
     if tag & 0x1F == 0x1F:
@@ -351,7 +356,6 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
         raise DecodeError(f"element length {length} exceeds limit")
     if pos + length > end:
         raise Truncated("content runs past input")
-    content = data[pos:pos + length]
     after = pos + length
     cls = tag & 0xC0
     constructed = bool(tag & 0x20)
@@ -363,7 +367,7 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
             if stop != after:
                 raise DecodeError("explicit tag must wrap exactly one value")
             return ContextTagged(number, inner, explicit=True), after
-        return ContextTagged(number, OctetString(content), explicit=False), after
+        return ContextTagged(number, OctetString(data[pos:after]), False), after
     if cls != 0x00:
         raise UnknownTag(f"unsupported tag class 0x{cls:02x}")
 
@@ -371,19 +375,21 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
         if tag not in (_TAG_SEQUENCE, _TAG_SET):
             raise UnknownTag(f"unsupported constructed tag 0x{tag:02x}")
         elements = []
-        encodings = []
+        encodings = []  # only the SET order check needs child encodings
         at = pos
         while at < after:
-            start = at
-            element, at = _decode_at(data, at, after, depth + 1)
+            element, stop = _decode_at(data, at, after, depth + 1)
             elements.append(element)
-            encodings.append(bytes(data[start:at]))
-        if tag == _TAG_SET:
-            if encodings != sorted(encodings):
-                raise DecodeError("SET elements not in DER order")
-            return Set(elements), after
-        return Sequence(elements), after
+            if tag == _TAG_SET:
+                encodings.append(data[at:stop])
+            at = stop
+        if tag == _TAG_SEQUENCE:
+            return Sequence(elements, data[start:after]), after
+        if encodings != sorted(encodings):
+            raise DecodeError("SET elements not in DER order")
+        return Set(elements), after
 
+    content = data[pos:after]
     if tag == _TAG_BOOLEAN:
         if content == b"\xff":
             return Boolean(True), after
@@ -436,7 +442,7 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
 
 def decode(data: bytes) -> tuple[DerValue, int]:
     """Decode one value from the start of ``data``; returns (value, consumed)."""
-    return _decode_at(bytes(data), 0, len(bytes(data)), 0)
+    return _decode_at(bytes(data), 0, len(data), 0)
 
 
 def decode_exact(data: bytes) -> DerValue:

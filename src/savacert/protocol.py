@@ -15,7 +15,7 @@ import dataclasses
 import datetime
 import enum
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import crypto, oids, revocation
 from .certs import (
@@ -139,13 +139,6 @@ class RequestInformation:
                               "intendedUsage must be a UTF8String")
         return None if value is None else value.value
 
-    def supplied_chains(self) -> tuple[Certificate, ...]:
-        value = self._payload(oids.REQ_SUPPLIED_CHAINS, Sequence,
-                              "suppliedChains must be a SEQUENCE")
-        if value is None:
-            return ()
-        return tuple(certificate_from_value(c) for c in value.elements)
-
     def want_backs(self) -> frozenset | None:
         """None when the extension is absent (server default applies)."""
         value = self._payload(oids.REQ_WANT_BACKS, BitString,
@@ -178,6 +171,7 @@ class ValidationRequest:
     explicit_policy_required: bool = False
     inhibit_policy_mapping: bool = False
     signature: RequestSignature | None = None
+    supplied: tuple[Certificate, ...] = ()  # the suppliedChains extension
 
     def target_fingerprints(self) -> list[bytes]:
         return [target_fingerprint(t) for t in self.targets]
@@ -217,6 +211,7 @@ class DvcResponse:
     info: DvcInfo
     signer: Certificate | None = None
     signature: tuple[Oid, bytes] | None = None
+    signed_der: bytes | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -226,6 +221,7 @@ class ErrorNotice:
     echo: RequestInformation | None = None
     signer: Certificate | None = None
     signature: tuple[Oid, bytes] | None = None
+    signed_der: bytes | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -413,7 +409,8 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
         info=info, targets=tuple(targets),
         acceptable_set=tuple(cpr.acceptable_set),
         explicit_policy_required=cpr.explicit_policy_required,
-        inhibit_policy_mapping=cpr.inhibit_policy_mapping)
+        inhibit_policy_mapping=cpr.inhibit_policy_mapping,
+        supplied=tuple(supplied_chains))
     if signer_key is not None:
         if signer_cert is None:
             raise ProtocolError("request signing needs the signer certificate")
@@ -423,7 +420,9 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
     return request
 
 
-def parse_request(data: bytes) -> ValidationRequest:
+def parse_request(data: bytes, stored=None) -> ValidationRequest:
+    """``stored`` (a snapshot's fingerprint index) supplies every target or
+    supplied certificate it holds; see certificate_from_value."""
     kind, value = _open_envelope(data)
     if kind != _KIND_REQUEST:
         raise ProtocolError(f"expected a request, got message kind {kind}")
@@ -436,7 +435,7 @@ def parse_request(data: bytes) -> ValidationRequest:
     targets_value = body.elements[1]
     if not isinstance(targets_value, Sequence) or not targets_value.elements:
         raise ProtocolError("a request carries at least one target")
-    targets = tuple(certificate_from_value(t)
+    targets = tuple(certificate_from_value(t, stored)
                     for t in targets_value.elements)
     acceptable = _oid_list(body.elements[2], "acceptablePolicySet")
     if not (isinstance(body.elements[3], Boolean)
@@ -453,18 +452,22 @@ def parse_request(data: bytes) -> ValidationRequest:
                 and isinstance(wrapper.inner.elements[2], BitString)):
             raise ProtocolError("bad request signature")
         signature = RequestSignature(
-            certificate_from_value(wrapper.inner.elements[0]),
+            certificate_from_value(wrapper.inner.elements[0], stored),
             wrapper.inner.elements[1],
             wrapper.inner.elements[2].value)
+    supplied = info._payload(oids.REQ_SUPPLIED_CHAINS, Sequence,
+                             "suppliedChains must be a SEQUENCE")
+    supplied = () if supplied is None else tuple(
+        certificate_from_value(c, stored) for c in supplied.elements)
     request = ValidationRequest(
         info=info, targets=targets, acceptable_set=acceptable,
         explicit_policy_required=body.elements[3].value,
-        inhibit_policy_mapping=body.elements[4].value, signature=signature)
+        inhibit_policy_mapping=body.elements[4].value, signature=signature,
+        supplied=supplied)
     # surface malformed extension payloads at parse time
     info.intended_usage()
     info.want_backs()
     info.time_override()
-    info.supplied_chains()
     return request
 
 
@@ -508,9 +511,9 @@ def _parse_evidence(value: DerValue) -> EvidenceOut:
                           for c in item.inner.elements)
         elif item.number == 1 and isinstance(item.inner, Sequence):
             crls = tuple(crl_from_value(c) for c in item.inner.elements)
-        elif item.number == 2 and isinstance(item.inner, Sequence):
-            replies = tuple(r.value for r in item.inner.elements
-                            if isinstance(r, OctetString))
+        elif item.number == 2 and isinstance(item.inner, Sequence) and all(
+                isinstance(r, OctetString) for r in item.inner.elements):
+            replies = tuple(r.value for r in item.inner.elements)
         elif item.number == 3 and isinstance(item.inner, GeneralizedTime):
             validation_time = item.inner.value
         else:
@@ -668,7 +671,7 @@ def parse_response(data: bytes):
     if kind == _KIND_DVC:
         info = _parse_dvc_info(value.elements[0])
         signer, signature = _parse_signed_tail(value.elements, 1)
-        return DvcResponse(info, signer, signature)
+        return DvcResponse(info, signer, signature, value.elements[0].der)
     if kind == _KIND_ERROR:
         body = value.elements[0]
         if not (isinstance(body, Sequence) and len(body.elements) in (2, 3)
@@ -687,14 +690,8 @@ def parse_response(data: bytes):
             echo = parse_info_value(wrapped)
         signer, signature = _parse_signed_tail(value.elements, 1)
         return ErrorNotice(code, body.elements[1].value, echo, signer,
-                           signature)
+                           signature, body.der)
     raise ProtocolError(f"unexpected message kind {kind}")
-
-
-def _signed_part_der(message) -> bytes:
-    if isinstance(message, DvcResponse):
-        return encode(dvc_info_value(message.info))
-    return encode(notice_info_value(message))
 
 
 def verify_response(message, expected: RequestInformation,
@@ -702,8 +699,9 @@ def verify_response(message, expected: RequestInformation,
     """Bind the response to the sent request and authenticate the server.
 
     Checks, in order: nonce, byte-exact requestInformation echo, server
-    signature (or the explicit unsigned opt-in), and the signer certificate
-    per the configured check (pinned fingerprint or online status)."""
+    signature over ``signed_der`` as received (or the unsigned opt-in),
+    and the signer certificate per the configured check (pinned
+    fingerprint or online status)."""
     echo = message.echo if isinstance(message, ErrorNotice) else message.info.echo
     if echo is not None:
         if echo.nonce != expected.nonce:
@@ -722,7 +720,7 @@ def verify_response(message, expected: RequestInformation,
         raise BadServerSignature("signed response without a signer certificate")
     alg_oid, value = message.signature
     if not crypto.verify(message.signer.public_key, alg_oid,
-                         _signed_part_der(message), value):
+                         message.signed_der, value):
         raise BadServerSignature("server signature does not verify")
 
     if trust.server_cert_check == "pinned":

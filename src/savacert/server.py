@@ -394,8 +394,7 @@ class CvsServer:
 
         targets = request.targets  # parse_request yields Certificates
         # supplied certificates are hints for discovery (RFC 5055 3.2.5)
-        extras = (request.info.supplied_chains()
-                  if policy.allow_supplied_chains else ())
+        extras = request.supplied if policy.allow_supplied_chains else ()
         graph = repository.graph(anchors).with_extra([*targets, *extras])
         revocation_config = self._revocation_config(policy)
         want = request.info.want_backs()
@@ -432,7 +431,7 @@ class CvsServer:
         now = self.config.clock.now()
         echo = None
         try:
-            request = protocol.parse_request(body)
+            request = protocol.parse_request(body, self.repository.index.nodes)
         except (DerError, StructureMismatch, protocol.ProtocolError,
                 ValueError, OverflowError) as exc:
             log.info("dvcs malformed request: %s", exc)
@@ -589,11 +588,11 @@ def main(argv: "list[str] | None" = None) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     try:
         config = load_server_config(args.config)
-        if args.listen:
+        if args.listen is not None:
             config.listen = parse_listen(args.listen, where="--listen")
-        if args.clock_fixed:
+        if args.clock_fixed is not None:
             config.clock = Clock(fixed=parse_time(args.clock_fixed))
-        if args.repository:
+        if args.repository is not None:
             config.repository = args.repository
         return serve(config)
     except (ConfigError, OSError, DerError, StructureMismatch,

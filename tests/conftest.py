@@ -123,7 +123,9 @@ def server_factory(tmp_path, server_identity):
         config = cvs_server.parse_server_config(text, tmp_path)
         core = cvs_server.CvsServer(config)
         httpd = cvs_server.CvsHttpServer(core)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        # a short poll lets shutdown() at teardown return quickly
+        thread = threading.Thread(target=httpd.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         if own_responder:
             # point at the server's own responder once the port is known

@@ -1,6 +1,7 @@
 """Shared test utilities: lightweight certificate fabrication, the
-brute-force simple-path enumerator used as the discovery oracle, and a
-random DER value generator for round-trip properties."""
+brute-force simple-path enumerator used as the discovery oracle, a random
+DER value generator for round-trip properties, and a DVC rewriter that
+adds a junk entry to online-replies lists."""
 
 import datetime
 import random
@@ -36,6 +37,21 @@ def fabricate_cert(subject: str, issuer: str, *, serial: int = 1,
         public_key=public_key or rng.randbytes(32),
         extensions=extensions if extensions is not None else make_extensions(),
         signature=rng.randbytes(64))
+
+
+def junk_in_replies(value: der.DerValue) -> der.DerValue:
+    """``value`` with INTEGER 5 appended to every evidence online-replies
+    list ([2] EXPLICIT SEQUENCE OF OCTET STRING); all else as it was."""
+    if isinstance(value, der.Sequence):
+        return der.Sequence([junk_in_replies(e) for e in value.elements])
+    if isinstance(value, der.ContextTagged) and value.explicit:
+        inner = junk_in_replies(value.inner)
+        if value.number == 2 and isinstance(inner, der.Sequence) \
+                and inner.elements and all(isinstance(r, der.OctetString)
+                                           for r in inner.elements):
+            inner = der.Sequence([*inner.elements, der.Integer(5)])
+        return der.ContextTagged(value.number, inner)
+    return value
 
 
 def all_simple_paths(certificates, anchors, target, max_length):

@@ -13,6 +13,7 @@ from savacert.storage import Clock
 from savacert.validation import VerdictStatus
 
 from conftest import NOW, NOW_TEXT, SERVER_NAME
+from helpers import junk_in_replies
 
 P_HIGH = forge.POLICY_HIGH
 
@@ -142,7 +143,7 @@ class FaultServer:
         self.transform = transform
         self.httpd = HTTPServer(("127.0.0.1", 0), Handler)
         threading.Thread(target=self.httpd.serve_forever,
-                         daemon=True).start()
+                         kwargs={"poll_interval": 0.05}, daemon=True).start()
 
     @property
     def url(self):
@@ -289,6 +290,29 @@ def test_tampered_signature_rejected(scenarios, server_identity,
         profile, [scenarios.cert_path("happy3", "ee", "sub")])
     assert code == 1
     assert "BadServerSignature" in text
+
+
+def test_signed_junk_reply_entry_is_unparseable(scenarios, server_identity,
+                                                fault_server):
+    # the server signs a DVC whose online-replies list holds an INTEGER
+    key = crypto.decode_key(server_identity.key_path.read_bytes())
+
+    def transform(body):
+        request = protocol.parse_request(body)
+        result = dataclasses.replace(
+            _result_for(request),
+            evidence=protocol.EvidenceOut(replies=(b"reply",)))
+        info = protocol.DvcInfo(1, NOW, request.info, (result,))
+        return protocol._signed_envelope(
+            protocol._KIND_DVC, junk_in_replies(protocol.dvc_info_value(info)),
+            server_identity.certificate, key)
+
+    double = fault_server(transform)
+    profile = make_profile(double.url, server_identity)
+    code, text = run_validate(
+        profile, [scenarios.cert_path("happy3", "ee", "sub")])
+    assert code == 1
+    assert text.startswith("error: unparseable response:")
 
 
 def test_signer_with_malformed_key_is_a_bad_signature(scenarios,
@@ -597,3 +621,18 @@ pinned_fingerprint = {handle.identity.fingerprint.hex()}
     assert errors[2:4] == [
         "error: clock: expected 'system' or 'fixed <time>', got 'fixed'",
         "error: clock: malformed GeneralizedTime '2025'"]
+
+
+@pytest.mark.parametrize("flag", ["--clock-fixed", "--time-override"])
+def test_cli_empty_time_is_an_error(scenarios, monkeypatch, capsys, flag):
+    posted = []
+
+    def post(*args):
+        posted.append(args)
+        raise OSError("no transport here")
+
+    monkeypatch.setattr(rp, "_post", post)
+    target = scenarios.cert_path("happy3", "ee", "sub")
+    assert rp.main(["validate", flag, "", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert posted == []

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from savacert import der
+from savacert import der, forge
 from savacert.der import (
     BitString,
     Boolean,
@@ -232,6 +232,58 @@ def test_seeded_roundtrip_many():
         value = random_der_value(rng)
         data = encode(value)
         assert decode(data) == (value, len(data))
+
+
+def test_decoded_sequence_keeps_its_bytes():
+    data = bytes.fromhex("3008300302010502010a")
+    value = decode_exact(data)
+    assert value.der == data
+    assert value.elements[0].der == bytes.fromhex("3003020105")
+    # a value built in code has no bytes, and encode never reads them
+    assert Sequence([Integer(5)]).der is None
+    assert encode(Sequence([Integer(5)], der=b"junk")) == bytes.fromhex(
+        "3003020105")
+
+
+def _content_span(data: bytes, pos: int) -> tuple[int, int]:
+    """Content start and end of the TLV at ``pos``, from its length octets."""
+    first = data[pos + 1]
+    if first < 0x80:
+        return pos + 2, pos + 2 + first
+    start = pos + 2 + (first & 0x7F)
+    return start, start + int.from_bytes(data[pos + 2:start], "big")
+
+
+def _check_sequence_bytes(value, data: bytes, pos: int) -> int:
+    """Assert that every SEQUENCE in ``value``, read from ``data`` at
+    ``pos``, keeps exactly its slice of ``data``; returns how many."""
+    start, end = _content_span(data, pos)
+    checked = 0
+    children = ()
+    if isinstance(value, Sequence):
+        assert value.der == data[pos:end]
+        checked += 1
+    if isinstance(value, (Sequence, Set)):
+        children = value.elements
+    elif isinstance(value, ContextTagged) and value.explicit:
+        children = (value.inner,)
+    at = start
+    for child in children:
+        checked += _check_sequence_bytes(child, data, at)
+        at = _content_span(data, at)[1]
+    assert not children or at == end
+    return checked
+
+
+def test_corpus_sequences_keep_their_input_slices(scenarios):
+    files = checked = 0
+    for name in forge.SCENARIOS:
+        for path in sorted(scenarios.layout(name).out_dir.rglob("*")):
+            if path.suffix in (".der", ".crl", ".key"):
+                blob = path.read_bytes()
+                checked += _check_sequence_bytes(decode_exact(blob), blob, 0)
+                files += 1
+    assert checked > files > 0
 
 
 def test_fuzz_decoder_returns_errors_never_crashes():

@@ -2,13 +2,15 @@ import datetime
 
 import pytest
 
-from savacert import crypto, oids, protocol
+from savacert import certs, crypto, oids, protocol
 from savacert.certs import fingerprint
-from savacert.der import Oid, encode
+from savacert.der import ContextTagged, Integer, Oid, decode_exact, encode
 from savacert.policytree import CprRequirement
+from savacert.storage import Repository
 from savacert.validation import FailureReason, VerdictStatus
 
 from conftest import NOW
+from helpers import fabricate_cert, junk_in_replies
 
 P1 = Oid("1.3.6.1.4.1.57264.8.1")
 
@@ -46,12 +48,36 @@ def test_request_roundtrip(happy):
     parsed = protocol.parse_request(raw)
     assert parsed == request
     assert protocol.encode_request(parsed) == raw
-    assert parsed.info.supplied_chains() == (happy["sub"],)
+    assert parsed.supplied == (happy["sub"],)
     assert parsed.info.want_backs() == frozenset(
         {protocol.WantBack.CHAIN, protocol.WantBack.CRLS})
     assert parsed.info.time_override() == NOW
     assert parsed.acceptable_set == (P1,)
     assert parsed.explicit_policy_required
+
+
+def test_stored_certificates_are_used_as_they_are(happy, scenarios,
+                                                 monkeypatch):
+    stored = Repository.load(scenarios.layout("happy3").out_dir).index.nodes
+    raw = protocol.encode_request(build([happy["ee"]],
+                                        supplied_chains=[happy["sub"]]))
+
+    def no_parse(*args):
+        raise AssertionError("a stored certificate was parsed again")
+
+    monkeypatch.setattr(certs, "_parse_tbs", no_parse)
+    parsed = protocol.parse_request(raw, stored)
+    assert parsed.targets[0] is stored[fingerprint(happy["ee"])]
+    assert parsed.supplied[0] is stored[fingerprint(happy["sub"])]
+
+
+def test_unstored_target_is_parsed(scenarios):
+    stored = Repository.load(scenarios.layout("happy3").out_dir).index.nodes
+    stranger = fabricate_cert("stranger", "unrelated-ca")
+    assert fingerprint(stranger) not in stored
+    parsed = protocol.parse_request(
+        protocol.encode_request(build([stranger])), stored)
+    assert parsed.targets == (stranger,)
 
 
 def test_strict_cpr_uses_fields_weak_uses_extension(happy):
@@ -183,6 +209,40 @@ def test_tampered_dvc_info_detected(happy, server_identity, server_key):
                         protocol.NonceMismatch)):
         protocol.verify_response(parsed, request.info,
                                  protocol.ResponseTrust())
+
+
+def test_signature_covers_the_bytes_received(happy, server_identity,
+                                             server_key):
+    # swapping a result's reason and failingIndex fields leaves the parsed
+    # DVC as it was, but not the bytes the server signed
+    request = build([happy["ee"]])
+    result = protocol.TargetResult(
+        fingerprint(happy["ee"]), VerdictStatus.INVALID,
+        reason=FailureReason.REVOKED, failing_index=1)
+    raw = protocol.sign_dvc(protocol.DvcInfo(7, NOW, request.info, (result,)),
+                            server_identity.certificate, server_key)
+    reason = encode(ContextTagged(0, Integer(int(FailureReason.REVOKED))))
+    index = encode(ContextTagged(1, Integer(1)))
+    assert raw.count(reason + index) == 1
+    parsed = protocol.parse_response(raw.replace(reason + index,
+                                                 index + reason))
+    assert parsed.info == protocol.parse_response(raw).info
+    with pytest.raises(protocol.BadServerSignature):
+        protocol.verify_response(parsed, request.info,
+                                 protocol.ResponseTrust())
+
+
+def test_junk_reply_entry_is_malformed(happy, server_identity, server_key):
+    request = build([happy["ee"]])
+    result = protocol.TargetResult(
+        fingerprint(happy["ee"]), VerdictStatus.VALID,
+        evidence=protocol.EvidenceOut(replies=(b"reply",)))
+    raw = protocol.sign_dvc(protocol.DvcInfo(7, NOW, request.info, (result,)),
+                            server_identity.certificate, server_key)
+    tampered = encode(junk_in_replies(decode_exact(raw)))
+    assert len(tampered) == len(raw) + 3
+    with pytest.raises(protocol.ProtocolError, match="bad evidence entry"):
+        protocol.parse_response(tampered)
 
 
 def test_unsigned_response_policy(happy, server_identity, server_key):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import http.client
 import logging
@@ -11,10 +12,10 @@ import urllib.request
 
 import pytest
 
-from savacert import certs, crypto, pathbuild, protocol, server as cvs
-from savacert.certs import fingerprint
+from savacert import certs, crypto, oids, pathbuild, protocol, server as cvs
+from savacert.certs import Extension, Extensions, fingerprint
 from savacert.config import ConfigError
-from savacert.der import Oid
+from savacert.der import BitString, Oid, encode
 from savacert.policytree import CprRequirement
 from savacert.protocol import ErrorCode, ErrorNotice, WantBack
 from savacert.validation import FailureReason, VerdictStatus
@@ -136,6 +137,19 @@ def test_malformed_body_yields_signed_notice(happy_core):
         notice,
         protocol.RequestInformation(nonce=0, request_time=NOW),
         protocol.ResponseTrust())  # signature verifies; echo absent is fine
+
+
+def test_non_canonical_target_is_malformed(happy_core, scenarios):
+    # a keyUsage BIT STRING with a redundant trailing octet is valid DER,
+    # but the parsed model re-encodes it minimally
+    padded = Extension(oids.EXT_KEY_USAGE, True,
+                       encode(BitString(b"\x04\x00", 0)))
+    odd = dataclasses.replace(scenarios.cert("happy3", "ee", "sub"),
+                              extensions=Extensions((padded,)))
+    response = send(happy_core, build([odd]))
+    assert isinstance(response, ErrorNotice)
+    assert response.code is ErrorCode.MALFORMED_REQUEST
+    assert "canonical" in response.message
 
 
 def test_error_notices_echo_when_parseable(happy_core, scenarios):
@@ -676,6 +690,18 @@ def test_bad_integer_settings_fail_at_load(tmp_path, server_identity,
     monkeypatch.setattr(cvs, "serve", lambda config: 0)
     assert cvs.main(["--config", str(config), *argv]) == 1
     assert f"error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--clock-fixed", "--listen"])
+def test_cli_empty_value_is_an_error(tmp_path, server_identity, monkeypatch,
+                                     capsys, flag):
+    config = tmp_path / "server.cfg"
+    config.write_text(make_server_config(tmp_path, tmp_path, server_identity))
+    served = []
+    monkeypatch.setattr(cvs, "serve", served.append)
+    assert cvs.main(["--config", str(config), flag, ""]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert served == []
 
 
 def test_cli_serves_and_shuts_down_gracefully(tmp_path, server_identity,
