@@ -3,7 +3,7 @@
 Chains are simple paths over name chaining (subject of each certificate is
 the issuer of the next), rooted at a trust anchor and ending at the target.
 No signature or revocation checking happens here; discovery only proposes
-candidates for validation.
+candidates for validation, and its caller may prune the edges it walks.
 """
 
 from __future__ import annotations
@@ -79,32 +79,40 @@ class CertGraph:
         return graph
 
 
-def discover(graph: CertGraph, target: Certificate,
-             max_length: int = 8) -> list[CandidateChain]:
+def chains(graph: CertGraph, target: Certificate, max_length: int = 8,
+           edge_ok=None):
     """Every loop-free anchor-to-target chain of at most ``max_length``
-    certificates, found by walking from the target up through issuers
-    (RFC 4158 section 3).  Chains are ordered by length, then by the member
-    fingerprints from the anchor's first issuance down to the target, then
-    by the anchor's fingerprint."""
+    certificates, walked lazily from the target up through issuers one
+    length at a time (RFC 4158 section 3) and ordered by length, member
+    fingerprints (anchor side first), then anchor fingerprint.  No edge
+    that ``edge_ok(issuer, subject, is_target)`` rejects is walked."""
     if max_length < 1:
         raise ValueError("max_length must be positive")
     target_fp = fingerprint(target)
     if target_fp not in graph.nodes:
         raise TargetNotInGraph(target_fp.hex())
 
-    found: list[tuple[tuple, CandidateChain]] = []
+    ok = edge_ok or (lambda issuer, subject, is_target: True)
+    # partial chains of one length, each with its fingerprints
+    partial = [((target_fp,), (target,))]
+    while partial:
+        found = []
+        for fps, chain in partial:
+            for anchor_fp in graph.anchors_by_subject.get(chain[0].issuer, ()):
+                anchor = graph.nodes[anchor_fp]
+                if ok(anchor, chain[0], len(chain) == 1):
+                    found.append(((fps, anchor_fp),
+                                  CandidateChain(anchor, chain)))
+        found.sort(key=lambda item: item[0])
+        yield from (chain for _, chain in found)
+        partial = [((fp, *fps), (graph.nodes[fp], *chain))
+                   for fps, chain in partial if len(fps) < max_length
+                   for fp in graph.by_subject.get(chain[0].issuer, ())
+                   if fp not in graph.anchor_fps and fp not in fps
+                   and ok(graph.nodes[fp], chain[0], len(chain) == 1)]
 
-    def climb(fps: tuple[bytes, ...], chain: tuple[Certificate, ...]) -> None:
-        issuer = chain[0].issuer
-        for anchor_fp in graph.anchors_by_subject.get(issuer, ()):
-            found.append(((len(fps), fps, anchor_fp),
-                          CandidateChain(graph.nodes[anchor_fp], chain)))
-        if len(fps) >= max_length:
-            return
-        for fp in graph.by_subject.get(issuer, ()):
-            if fp not in graph.anchor_fps and fp not in fps:
-                climb((fp, *fps), (graph.nodes[fp], *chain))
 
-    climb((target_fp,), (target,))
-    found.sort(key=lambda item: item[0])
-    return [chain for _, chain in found]
+def discover(graph: CertGraph, target: Certificate,
+             max_length: int = 8) -> list[CandidateChain]:
+    """Every chain ``chains`` yields, as a list."""
+    return list(chains(graph, target, max_length))

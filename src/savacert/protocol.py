@@ -172,6 +172,10 @@ class ValidationRequest:
     inhibit_policy_mapping: bool = False
     signature: RequestSignature | None = None
     supplied: tuple[Certificate, ...] = ()  # the suppliedChains extension
+    # the other extension payloads, decoded once; see RequestInformation
+    intended_usage: str | None = None
+    want_backs: frozenset | None = None
+    time_override: datetime.datetime | None = None
 
     def target_fingerprints(self) -> list[bytes]:
         return [target_fingerprint(t) for t in self.targets]
@@ -410,7 +414,9 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
         acceptable_set=tuple(cpr.acceptable_set),
         explicit_policy_required=cpr.explicit_policy_required,
         inhibit_policy_mapping=cpr.inhibit_policy_mapping,
-        supplied=tuple(supplied_chains))
+        supplied=tuple(supplied_chains), intended_usage=cpr.intended_usage,
+        want_backs=None if want_backs is None else frozenset(want_backs),
+        time_override=time_override)
     if signer_key is not None:
         if signer_cert is None:
             raise ProtocolError("request signing needs the signer certificate")
@@ -463,11 +469,8 @@ def parse_request(data: bytes, stored=None) -> ValidationRequest:
         info=info, targets=targets, acceptable_set=acceptable,
         explicit_policy_required=body.elements[3].value,
         inhibit_policy_mapping=body.elements[4].value, signature=signature,
-        supplied=supplied)
-    # surface malformed extension payloads at parse time
-    info.intended_usage()
-    info.want_backs()
-    info.time_override()
+        supplied=supplied, intended_usage=info.intended_usage(),
+        want_backs=info.want_backs(), time_override=info.time_override())
     return request
 
 
@@ -503,9 +506,12 @@ def _parse_evidence(value: DerValue) -> EvidenceOut:
     if not isinstance(value, Sequence):
         raise ProtocolError("bad evidence shape")
     chain = crls = replies = validation_time = None
+    last = -1  # entries come in ascending tag order, at most one of each
     for item in value.elements:
-        if not (isinstance(item, ContextTagged) and item.explicit):
+        if not (isinstance(item, ContextTagged) and item.explicit
+                and item.number > last):
             raise ProtocolError("bad evidence entry")
+        last = item.number
         if item.number == 0 and isinstance(item.inner, Sequence):
             chain = tuple(certificate_from_value(c)
                           for c in item.inner.elements)
@@ -563,9 +569,12 @@ def _parse_result(value: DerValue) -> TargetResult:
             raise ProtocolError("bad mapping entry")
         mappings.append((item.elements[0], item.elements[1]))
     reason = failing_index = unknown_cause = evidence = None
+    last = -1  # fields come in ascending tag order, at most one of each
     for item in e[4:]:
-        if not (isinstance(item, ContextTagged) and item.explicit):
+        if not (isinstance(item, ContextTagged) and item.explicit
+                and item.number > last):
             raise ProtocolError("bad target result field")
+        last = item.number
         if item.number == 0 and isinstance(item.inner, Integer):
             reason = FailureReason(item.inner.value)
         elif item.number == 1 and isinstance(item.inner, Integer):

@@ -335,7 +335,7 @@ class CvsServer:
                 raise AdmissionFailure(
                     ErrorCode.MALFORMED_REQUEST,
                     f"unknown critical request extension {ext.oid}")
-        if request.info.intended_usage() is not None \
+        if request.intended_usage is not None \
                 and request.acceptable_set:
             raise AdmissionFailure(
                 ErrorCode.MALFORMED_REQUEST,
@@ -381,8 +381,8 @@ class CvsServer:
                now) -> DvcInfo:
         """Validate every target sequentially, in request order."""
         repository = self.repository
-        at = request.info.time_override() or now
-        usage = request.info.intended_usage()
+        at = request.time_override or now
+        usage = request.intended_usage
         acceptable = (request.acceptable_set if usage is None
                       else resolve_weak(usage, policy.usage_table))
         cpr = CprRequirement.strict(acceptable,
@@ -397,12 +397,12 @@ class CvsServer:
         extras = request.supplied if policy.allow_supplied_chains else ()
         graph = repository.graph(anchors).with_extra([*targets, *extras])
         revocation_config = self._revocation_config(policy)
-        want = request.info.want_backs()
+        want = request.want_backs
         if want is None:
             want = policy.default_want_backs
 
         results = []
-        checked: dict = {}  # signature memo shared by this request's targets
+        checked: dict = {}  # edge memo shared by this request's targets
         for target in targets:
             verdict = validate_target(
                 graph, target, at, cpr, revocation_config,

@@ -1,12 +1,17 @@
 """Full validation of one candidate chain, and target-level validation that
-iterates candidate chains in discovery order until one validates.
+searches candidate chains in discovery order until one validates.
 
 Per certificate, in order: signature under the working key, validity
 window, name chaining, accumulated name constraints, revocation status per
 the configured regime, the policy-tree step, CA constraints for non-last
-certificates, and rejection of unknown critical extensions.  The first
-failure wins.  The trust anchor itself is never signature- or
+certificates, pathLen, and rejection of unknown critical extensions.  The
+first failure wins.  The trust anchor itself is never signature- or
 revocation-checked.
+
+All but name constraints, pathLen and the policy tree depend on one
+(issuer, subject, subject is last) edge, checked once per request.  Once the
+first candidate fails, the search walks only edges that pass, and it stops
+with an unknown verdict after ``MAX_FULL_VALIDATIONS`` full validations.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .certs import (
     check_signature,
 )
 from .der import Oid
-from .pathbuild import CandidateChain, CertGraph, discover
+from .pathbuild import CandidateChain, CertGraph, chains
 from .policytree import CprRequirement
 
 
@@ -51,6 +56,10 @@ class FailureReason(enum.IntEnum):
 
 
 CAUSE_NO_PATH = "no-path"
+CAUSE_BUDGET = "budget"
+
+# full validations per target; only path-level failures can spend them
+MAX_FULL_VALIDATIONS = 64
 
 REVOCATION_REGIMES = ("crl", "online", "crl-then-online", "none")
 
@@ -94,11 +103,10 @@ def _check_name_constraints(subject: Name, accumulated) -> bool:
     return True
 
 
-def _verified(checked: dict, check, signed, key: bytes) -> bool:
-    """``check(signed, key)``, run once per (DER, key) in ``checked``."""
-    memo_key = (signed.der, key)
+def _once(checked: dict, memo_key, check, *args):
+    """``check(*args)``, run once per ``memo_key`` in ``checked``."""
     if memo_key not in checked:
-        checked[memo_key] = check(signed, key)
+        checked[memo_key] = check(*args)
     return checked[memo_key]
 
 
@@ -110,8 +118,8 @@ def _revocation_status(cert: Certificate, at, issuer_key: bytes,
 
     def by_crl():
         verified = [crl for crl in crls_for(cert.issuer)
-                    if _verified(checked, check_crl_signature, crl,
-                                 issuer_key)]
+                    if _once(checked, (crl.der, issuer_key),
+                             check_crl_signature, crl, issuer_key)]
         if not verified:
             return revocation.CertStatus(
                 revocation.StatusValue.UNDETERMINED, "crl", None,
@@ -138,17 +146,55 @@ def _revocation_status(cert: Certificate, at, issuer_key: bytes,
     return status
 
 
+def _edge(issuer: Certificate, cert: Certificate, is_last: bool, at,
+          config: RevocationConfig, crls_for, checked: dict):
+    """The checks of ``cert`` under ``issuer`` that need nothing else: the
+    first failing reason or None, and the revocation evidence."""
+    if not check_signature(cert, issuer.public_key):
+        return FailureReason.BAD_SIGNATURE, None
+    if at < cert.not_before:
+        return FailureReason.NOT_YET_VALID, None
+    if at > cert.not_after:
+        return FailureReason.EXPIRED, None
+    if cert.issuer != issuer.subject:
+        return FailureReason.NAME_CHAINING, None
+    status = _revocation_status(cert, at, issuer.public_key, config,
+                                crls_for, checked)
+    evidence = None if status is None else status.evidence
+    if status is not None:
+        if status.value is revocation.StatusValue.REVOKED:
+            return FailureReason.REVOKED, evidence
+        if status.value is revocation.StatusValue.UNDETERMINED:
+            return FailureReason.REVOCATION_UNDETERMINED, evidence
+    if not is_last:
+        bc = cert.extensions.basic_constraints
+        if bc is None or not bc.is_ca:
+            return FailureReason.BASIC_CONSTRAINTS, evidence
+        usage = cert.extensions.key_usage
+        if usage is not None and KeyUsage.KEY_CERT_SIGN not in usage:
+            return FailureReason.KEY_USAGE, evidence
+    if cert.has_unknown_critical:
+        return FailureReason.UNKNOWN_CRITICAL_EXTENSION, evidence
+    return None, evidence
+
+
+# edge failures that come before a name-constraint failure
+_BEFORE_NAME_CONSTRAINTS = (FailureReason.BAD_SIGNATURE,
+                            FailureReason.NOT_YET_VALID,
+                            FailureReason.EXPIRED, FailureReason.NAME_CHAINING)
+
+
 def validate_path(chain: CandidateChain, at: datetime.datetime,
                   cpr: CprRequirement, revocation_config: RevocationConfig,
                   crls_for, checked: dict | None = None) -> Verdict:
     """Run the whole validation algorithm over one candidate chain.
     ``crls_for`` maps an issuer Name to its stored CRLs, freshest first.
-    ``checked`` holds signature results by (DER, key), so candidate chains
-    that share certificates or CRLs share their checks."""
+    ``checked`` holds edge and CRL-signature results, so candidate chains
+    that share edges or CRLs share their checks."""
     if checked is None:
         checked = {}
     certs = chain.certs
-    working_key = chain.anchor.public_key
+    issuer = chain.anchor
     anchor_bc = chain.anchor.extensions.basic_constraints
     max_path = anchor_bc.path_len if anchor_bc is not None else None
     constraints_acc: list = []
@@ -164,54 +210,38 @@ def validate_path(chain: CandidateChain, at: datetime.datetime,
     for i, cert in enumerate(certs):
         is_last = i == len(certs) - 1
         self_issued = cert.is_self_issued
-
-        if not _verified(checked, check_signature, cert, working_key):
-            return invalid(FailureReason.BAD_SIGNATURE, i)
-        if at < cert.not_before:
-            return invalid(FailureReason.NOT_YET_VALID, i)
-        if at > cert.not_after:
-            return invalid(FailureReason.EXPIRED, i)
-        expected_issuer = chain.anchor.subject if i == 0 else certs[i - 1].subject
-        if cert.issuer != expected_issuer:
-            return invalid(FailureReason.NAME_CHAINING, i)
+        reason, evidence = _once(
+            checked, (issuer.der, cert.der, is_last), _edge, issuer, cert,
+            is_last, at, revocation_config, crls_for, checked)
+        if reason in _BEFORE_NAME_CONSTRAINTS:
+            return invalid(reason, i)
         if not _check_name_constraints(cert.subject, constraints_acc):
             return invalid(FailureReason.NAME_CONSTRAINT, i)
-
-        status = _revocation_status(cert, at, working_key,
-                                    revocation_config, crls_for, checked)
-        if status is not None:
-            if isinstance(status.evidence, Crl):
-                crls.append(status.evidence)
-            elif isinstance(status.evidence, bytes):
-                replies.append(status.evidence)
-            if status.value is revocation.StatusValue.REVOKED:
-                return invalid(FailureReason.REVOKED, i)
-            if status.value is revocation.StatusValue.UNDETERMINED:
-                return invalid(FailureReason.REVOCATION_UNDETERMINED, i)
+        if isinstance(evidence, Crl):
+            crls.append(evidence)
+        elif isinstance(evidence, bytes):
+            replies.append(evidence)
+        if reason not in (None, FailureReason.UNKNOWN_CRITICAL_EXTENSION):
+            return invalid(reason, i)
 
         state = policytree.process_cert(state, cert, self_issued, is_last)
 
         if not is_last:
-            bc = cert.extensions.basic_constraints
-            if bc is None or not bc.is_ca:
-                return invalid(FailureReason.BASIC_CONSTRAINTS, i)
-            usage = cert.extensions.key_usage
-            if usage is not None and KeyUsage.KEY_CERT_SIGN not in usage:
-                return invalid(FailureReason.KEY_USAGE, i)
             if not self_issued:
                 if max_path is not None and max_path == 0:
                     return invalid(FailureReason.BASIC_CONSTRAINTS, i)
                 if max_path is not None:
                     max_path -= 1
-            if bc.path_len is not None:
-                max_path = (bc.path_len if max_path is None
-                            else min(max_path, bc.path_len))
+            path_len = cert.extensions.basic_constraints.path_len
+            if path_len is not None:
+                max_path = (path_len if max_path is None
+                            else min(max_path, path_len))
             if cert.extensions.name_constraints is not None:
                 constraints_acc.append(cert.extensions.name_constraints)
 
-        if cert.has_unknown_critical:
-            return invalid(FailureReason.UNKNOWN_CRITICAL_EXTENSION, i)
-        working_key = cert.public_key
+        if reason is not None:
+            return invalid(reason, i)
+        issuer = cert
 
     outcome = policytree.final_verdict(state, cpr)
     if not outcome.ok:
@@ -229,21 +259,34 @@ def validate_target(graph: CertGraph, target: Certificate,
                     revocation_config: RevocationConfig, crls_for,
                     max_length: int = 8,
                     checked: dict | None = None) -> Verdict:
-    """Validate candidate chains in discovery order; the first valid chain
-    wins, otherwise the first candidate's verdict is returned, and a target
-    with no chains at all yields an unknown verdict.  Each signature is
-    checked once: the candidates share the memo ``checked``, which the
-    caller keeps for one request at most (a fresh one by default), so a
-    repository reload never meets a stale entry."""
+    """The first valid chain in discovery order, else the first candidate's
+    verdict, else (no chain, or ``MAX_FULL_VALIDATIONS`` spent) an unknown
+    one.  Past the first candidate, only chains whose every edge passes are
+    validated.  The memo ``checked`` lives for one request at most (a fresh
+    one by default), so a repository reload never meets a stale entry."""
     if checked is None:
         checked = {}
-    first: Verdict | None = None
-    for chain in discover(graph, target, max_length):
-        verdict = validate_path(chain, at, cpr, revocation_config, crls_for,
-                                checked)
-        if verdict.is_valid:
-            return verdict
-        if first is None:
-            first = verdict
-    return first or Verdict(VerdictStatus.UNKNOWN, at,
-                            unknown_cause=CAUSE_NO_PATH)
+    first = next(chains(graph, target, max_length), None)
+    if first is None:
+        return Verdict(VerdictStatus.UNKNOWN, at, unknown_cause=CAUSE_NO_PATH)
+    verdict = validate_path(first, at, cpr, revocation_config, crls_for,
+                            checked)
+    if verdict.is_valid:
+        return verdict
+
+    def edge_ok(issuer: Certificate, cert: Certificate, is_last: bool):
+        return _once(checked, (issuer.der, cert.der, is_last), _edge, issuer,
+                     cert, is_last, at, revocation_config, crls_for,
+                     checked)[0] is None
+
+    others = (chain for chain in chains(graph, target, max_length, edge_ok)
+              if chain != first)
+    for validated, chain in enumerate(others, 1):
+        if validated == MAX_FULL_VALIDATIONS:
+            return Verdict(VerdictStatus.UNKNOWN, at,
+                           unknown_cause=CAUSE_BUDGET)
+        candidate = validate_path(chain, at, cpr, revocation_config,
+                                  crls_for, checked)
+        if candidate.is_valid:
+            return candidate
+    return verdict

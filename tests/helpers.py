@@ -1,12 +1,19 @@
 """Shared test utilities: lightweight certificate fabrication, the
-brute-force simple-path enumerator used as the discovery oracle, a random
-DER value generator for round-trip properties, and a DVC rewriter that
-adds a junk entry to online-replies lists."""
+brute-force simple-path enumerator used as the discovery oracle, the
+validate-every-chain reference for target validation, a random DER value
+generator for round-trip properties, and a DVC rewriter that adds a junk
+entry to online-replies lists."""
 
 import datetime
 import random
 
 from savacert import der, oids
+from savacert.pathbuild import discover
+from savacert.validation import (
+    Verdict,
+    VerdictStatus,
+    validate_path,
+)
 from savacert.certs import (
     Certificate,
     Extensions,
@@ -84,6 +91,18 @@ def discovery_order(paths):
     """``all_simple_paths`` results in the order ``discover`` promises:
     length, then member fingerprints, then anchor fingerprint."""
     return sorted(paths, key=lambda path: (len(path[1]), path[1], path[0]))
+
+
+def reference_validate_target(graph, target, at, cpr, revocation_config,
+                              crls_for, max_length=8):
+    """``validate_target``'s contract the slow way: every chain ``discover``
+    lists is validated in full, each with a fresh memo; the first valid one
+    wins, otherwise the first chain's verdict is returned."""
+    verdicts = [validate_path(chain, at, cpr, revocation_config, crls_for)
+                for chain in discover(graph, target, max_length)]
+    if not verdicts:
+        return Verdict(VerdictStatus.UNKNOWN, at, unknown_cause="no-path")
+    return next((v for v in verdicts if v.is_valid), verdicts[0])
 
 
 _PRINTABLE_POOL = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"

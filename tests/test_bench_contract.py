@@ -59,3 +59,7 @@ def test_traced_bench_run_is_correct():
     assert done.returncode == 0, done.stdout + done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    # the revoked target (1 in 4) fails on its last edge, which prunes
+    # every other chain: about one full validation per target
+    per_target = result["metrics"]["validation.validate_path_calls_per_target"]
+    assert per_target["value"] <= 1.05, per_target

@@ -10,6 +10,7 @@ from savacert.pathbuild import (
     CertGraph,
     PathError,
     TargetNotInGraph,
+    chains,
     discover,
 )
 from savacert.storage import Repository, RepositoryError
@@ -151,3 +152,32 @@ def test_random_graphs_match_bruteforce_oracle():
                                     max_length=12)
         chains = discover(graph, target, max_length=12)
         assert [_chain_key(c) for c in chains] == discovery_order(expected)
+
+
+def _edges(anchor_fp, fps):
+    """(issuer, subject, subject is the target) for every edge of a chain."""
+    issuers = (anchor_fp, *fps[:-1])
+    return [(i, s, n == len(fps) - 1)
+            for n, (i, s) in enumerate(zip(issuers, fps))]
+
+
+def test_pruned_chains_match_filtered_bruteforce_order():
+    rng = random.Random(4158)
+    for _ in range(60):
+        certificates, anchors, target = random_cert_graph(rng)
+        graph = CertGraph(certificates,
+                          [fingerprint(a) for a in anchors])
+        expected = discovery_order(all_simple_paths(
+            certificates, anchors, target, max_length=12))
+        edges = {e for anchor_fp, fps in expected
+                 for e in _edges(anchor_fp, fps)}
+        rejected = {e for e in sorted(edges) if rng.random() < 0.25}
+
+        def edge_ok(issuer, subject, is_last):
+            return (fingerprint(issuer), fingerprint(subject),
+                    is_last) not in rejected
+
+        pruned = list(chains(graph, target, 12, edge_ok))
+        assert [_chain_key(c) for c in pruned] == [
+            (anchor_fp, fps) for anchor_fp, fps in expected
+            if rejected.isdisjoint(_edges(anchor_fp, fps))]

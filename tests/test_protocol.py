@@ -4,7 +4,15 @@ import pytest
 
 from savacert import certs, crypto, oids, protocol
 from savacert.certs import fingerprint
-from savacert.der import ContextTagged, Integer, Oid, decode_exact, encode
+from savacert.der import (
+    ContextTagged,
+    GeneralizedTime,
+    Integer,
+    Oid,
+    Sequence,
+    decode_exact,
+    encode,
+)
 from savacert.policytree import CprRequirement
 from savacert.storage import Repository
 from savacert.validation import FailureReason, VerdictStatus
@@ -213,23 +221,52 @@ def test_tampered_dvc_info_detected(happy, server_identity, server_key):
 
 def test_signature_covers_the_bytes_received(happy, server_identity,
                                              server_key):
-    # swapping a result's reason and failingIndex fields leaves the parsed
-    # DVC as it was, but not the bytes the server signed
+    # a result's failingIndex changed from 1 to 2 still parses; the
+    # signature is checked over the dvcInfo bytes as received
     request = build([happy["ee"]])
     result = protocol.TargetResult(
         fingerprint(happy["ee"]), VerdictStatus.INVALID,
         reason=FailureReason.REVOKED, failing_index=1)
     raw = protocol.sign_dvc(protocol.DvcInfo(7, NOW, request.info, (result,)),
                             server_identity.certificate, server_key)
-    reason = encode(ContextTagged(0, Integer(int(FailureReason.REVOKED))))
     index = encode(ContextTagged(1, Integer(1)))
-    assert raw.count(reason + index) == 1
-    parsed = protocol.parse_response(raw.replace(reason + index,
-                                                 index + reason))
-    assert parsed.info == protocol.parse_response(raw).info
+    assert raw.count(index) == 1
+    tampered = raw.replace(index, encode(ContextTagged(1, Integer(2))))
+    parsed = protocol.parse_response(tampered)
+    assert parsed.info.results[0].failing_index == 2
+    assert parsed.signed_der in tampered and parsed.signed_der not in raw
     with pytest.raises(protocol.BadServerSignature):
         protocol.verify_response(parsed, request.info,
                                  protocol.ResponseTrust())
+
+
+_REASON = ContextTagged(0, Integer(int(FailureReason.REVOKED)))
+_INDEX = ContextTagged(1, Integer(1))
+_AT = ContextTagged(3, GeneralizedTime(NOW))
+
+
+@pytest.mark.parametrize("fields, complaint", [
+    ([_REASON, ContextTagged(0, Integer(int(FailureReason.EXPIRED)))],
+     "bad target result field"),
+    ([_INDEX, _REASON], "bad target result field"),
+    ([ContextTagged(3, Sequence([_AT, _AT]))], "bad evidence entry"),
+], ids=["two-reasons", "index-before-reason", "two-validation-times"])
+def test_result_fields_in_tag_order_once_each(happy, server_identity,
+                                              server_key, fields, complaint):
+    # a DVC the server signed with repeated or reordered optional fields is
+    # rejected, so no copy of a field can silently win
+    request = build([happy["ee"]])
+    result = protocol.TargetResult(fingerprint(happy["ee"]),
+                                   VerdictStatus.INVALID)
+    value = protocol.dvc_info_value(
+        protocol.DvcInfo(7, NOW, request.info, (result,)))
+    result_value = value.elements[4].elements[0]
+    value = Sequence([*value.elements[:4], Sequence(
+        [Sequence([*result_value.elements, *fields])])])
+    raw = protocol._signed_envelope(protocol._KIND_DVC, value,
+                                    server_identity.certificate, server_key)
+    with pytest.raises(protocol.ProtocolError, match=complaint):
+        protocol.parse_response(raw)
 
 
 def test_junk_reply_entry_is_malformed(happy, server_identity, server_key):

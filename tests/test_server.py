@@ -494,6 +494,27 @@ def test_validation_time_override(happy_core, scenarios):
     assert result.evidence.validation_time == later
 
 
+def test_request_extensions_are_decoded_once(happy_core, scenarios,
+                                            monkeypatch):
+    # the envelope, then the wantBacks and time-override payloads once each
+    decode = protocol.decode_exact
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(protocol, "decode_exact", counted)
+    ee = scenarios.cert("happy3", "ee", "sub")
+    later = datetime.datetime(2026, 6, 1, tzinfo=datetime.timezone.utc)
+    body = protocol.encode_request(build(
+        [ee], time_override=later, want_backs={WantBack.VALIDATION_TIME}))
+    answer = happy_core.handle_dvcs_bytes(body)
+    assert len(calls) == 3
+    result = protocol.parse_response(answer).info.results[0]
+    assert result.evidence.validation_time == later
+
+
 def test_serials_increase_and_survive_restart(tmp_path, server_identity,
                                               scenarios):
     repo = scenarios.layout("happy3").out_dir

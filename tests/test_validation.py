@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from savacert import crypto, forge, oids
+from savacert import crypto, forge, oids, validation
 from savacert.certs import (
     BasicConstraints,
     KeyUsage,
@@ -29,7 +29,7 @@ from savacert.validation import (
 )
 
 from conftest import EPOCH, NOW
-from helpers import fabricate_cert
+from helpers import fabricate_cert, reference_validate_target
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "scenario_matrix.json").read_text())
@@ -243,6 +243,21 @@ def test_crl_then_online_falls_back(scenarios, server_factory):
     assert status.value.name == "REVOKED"
 
 
+def test_request_memo_keeps_a_target_and_an_intermediate_apart(scenarios):
+    # the targets of one request share one memo: sub passes as a last
+    # certificate, but it is no CA, so ee's chain through it still fails
+    repo = Repository.load(scenarios.layout("not-a-ca").out_dir)
+    checked: dict = {}
+    sub, ee = (validate_target(repo.graph(), scenarios.cert("not-a-ca", *e),
+                               NOW, CprRequirement.any_policy(),
+                               RevocationConfig("crl"), repo.crls_for,
+                               checked=checked)
+               for e in (("sub", "root"), ("ee", "sub")))
+    assert sub.status is VerdictStatus.VALID
+    assert (ee.reason, ee.failing_index) == (FailureReason.BASIC_CONSTRAINTS,
+                                             0)
+
+
 def test_unknown_critical_extension_rejected():
     root_key = crypto.generate(seed=b"uc-root")
     leaf_key = crypto.generate(seed=b"uc-leaf")
@@ -325,9 +340,10 @@ sub -> ee
     assert verdict.failing_index == 1
 
 
-def _cross_certified_mesh(k: int) -> str:
-    """Root over k sub-CAs that all cross-certify each other; ee under s1
-    is revoked on s1's CRL."""
+def _cross_certified_mesh(k: int,
+                          revoked=("s1 ee 20250102000000Z keyCompromise",)):
+    """Root over k sub-CAs that all cross-certify each other, and ee under
+    s1; by default ee is revoked on s1's CRL."""
     subs = [f"s{i}" for i in range(1, k + 1)]
     lines = ["[pki]", "seed = 404", "[entity root]", "kind = rootCa"]
     for sub in subs:
@@ -335,8 +351,7 @@ def _cross_certified_mesh(k: int) -> str:
     lines += ["[entity ee]", "kind = endEntity", "[edges]"]
     lines += [f"root -> {sub}" for sub in subs]
     lines += [f"{a} -> {b}" for a in subs for b in subs if a != b]
-    lines += ["s1 -> ee", "[revocations]",
-              "s1 ee 20250102000000Z keyCompromise"]
+    lines += ["s1 -> ee", "[revocations]", *revoked]
     return "\n".join(lines) + "\n"
 
 
@@ -363,3 +378,114 @@ def test_each_signature_is_checked_once_per_target(tmp_path, monkeypatch):
     assert verdict.reason is FailureReason.REVOKED
     assert verdict.failing_index == 1
     assert len(calls) <= 40
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _mesh_target(tmp_path, k, **kwargs):
+    layout = forge.forge(
+        forge.parse_topology(_cross_certified_mesh(k, **kwargs)), tmp_path)
+    repo = Repository.load(layout.out_dir)
+    target = parse_certificate(layout.cert_path("ee", "s1").read_bytes())
+    return repo, target
+
+
+def test_revoked_target_in_a_mesh_costs_one_chain(tmp_path, monkeypatch):
+    # every chain ends on the revoked edge s1 -> ee, so once the first
+    # candidate fails no other chain is walked to its end
+    repo, target = _mesh_target(tmp_path, 4)
+    paths = _counted(monkeypatch, validation, "validate_path")
+    verifies = _counted(monkeypatch, crypto, "verify")
+    verdict = validate_target(repo.graph(), target, NOW,
+                              CprRequirement.any_policy(),
+                              RevocationConfig("crl"), repo.crls_for)
+    assert (verdict.status, verdict.reason, verdict.failing_index) == (
+        VerdictStatus.INVALID, FailureReason.REVOKED, 1)
+    assert len(paths) <= 2
+    assert len(verifies) <= 10
+
+
+def test_path_level_failures_stop_at_the_budget(tmp_path, monkeypatch):
+    # no certificate asserts the one acceptable policy, so every one of the
+    # 499 chains passes its edge checks and fails only the policy tree
+    repo, target = _mesh_target(tmp_path, 4, revoked=())
+    cpr = CprRequirement.strict((Oid("1.2.3.4.5"),), True)
+    paths = _counted(monkeypatch, validation, "validate_path")
+    verdict = validate_target(repo.graph(), target, NOW, cpr,
+                              RevocationConfig("crl"), repo.crls_for)
+    assert verdict.status is VerdictStatus.UNKNOWN
+    assert verdict.unknown_cause == "budget"
+    assert len(paths) <= validation.MAX_FULL_VALIDATIONS + 1
+
+
+def _mesh_with_broken_cross_certificate(tmp_path, fault):
+    """k=3 mesh in which root's certificate for s1 is revoked, so ee's first
+    candidate fails, and the cross-certificate s2 -> s1 is broken."""
+    revoked = ["root s1 20250102000000Z caCompromise"]
+    if fault == "revoked":
+        revoked.append("s2 s1 20250102000000Z keyCompromise")
+    layout = forge.forge(
+        forge.parse_topology(_cross_certified_mesh(3, revoked)), tmp_path)
+    path = layout.cert_path("s1", "s2")
+    if fault == "bad-signature":
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x01
+        path.write_bytes(bytes(data))
+    elif fault == "expired":
+        cross = parse_certificate(path.read_bytes())
+        path.write_bytes(sign_certificate(
+            serial=cross.serial, issuer=cross.issuer, subject=cross.subject,
+            not_before=EPOCH - datetime.timedelta(days=20),
+            not_after=EPOCH - datetime.timedelta(days=10),
+            public_key_alg=cross.public_key_alg,
+            public_key=cross.public_key, extensions=cross.extensions,
+            issuer_key=crypto.decode_key(
+                layout.keys["s2"].read_bytes())).der)
+    return layout
+
+
+_CPRS = (CprRequirement.any_policy(),
+         CprRequirement.strict((forge.POLICY_HIGH,), True),
+         CprRequirement.strict((Oid("1.2.3.4.5"),), True))
+
+
+def _same_as_reference(layout):
+    repo = Repository.load(layout.out_dir)
+    graph = repo.graph()
+    for path in layout.certs.values():
+        target = parse_certificate(path.read_bytes())
+        for cpr in _CPRS:
+            args = (graph, target, NOW, cpr, RevocationConfig("crl"),
+                    repo.crls_for)
+            assert validate_target(*args) == reference_validate_target(*args)
+
+
+@pytest.mark.parametrize("name", sorted(forge.SCENARIOS))
+def test_search_matches_validating_every_chain_on_scenarios(scenarios, name):
+    _same_as_reference(scenarios.layout(name))
+
+
+@pytest.mark.parametrize("fault", ["revoked", "expired", "bad-signature"])
+def test_search_matches_validating_every_chain_on_a_mesh(tmp_path, fault):
+    layout = _mesh_with_broken_cross_certificate(tmp_path, fault)
+    repo = Repository.load(layout.out_dir)
+    target = parse_certificate(layout.cert_path("ee", "s1").read_bytes())
+    verdict = validate_target(repo.graph(), target, NOW,
+                              CprRequirement.any_policy(),
+                              RevocationConfig("crl"), repo.crls_for)
+    # the search skips the broken cross-certificate and finds s3's
+    assert verdict.is_valid
+    assert [fingerprint(c) for c in verdict.chain.certs] == [
+        fingerprint(parse_certificate(layout.cert_path(*edge).read_bytes()))
+        for edge in (("s3", "root"), ("s1", "s3"), ("ee", "s1"))]
+    _same_as_reference(layout)
