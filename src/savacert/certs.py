@@ -35,6 +35,8 @@ from .der import (
     decode_exact,
     encode,
     named_bits,
+    sequence_of,
+    tagged_fields,
 )
 
 
@@ -319,12 +321,10 @@ def parse_name_value(value: DerValue) -> Name:
     for rdn in value.elements:
         if not (isinstance(rdn, Set) and len(rdn.elements) == 1):
             raise StructureMismatch("RDN must be a single-attribute SET")
-        attr = rdn.elements[0]
-        if not (isinstance(attr, Sequence) and len(attr.elements) == 2
-                and isinstance(attr.elements[0], Oid)
-                and isinstance(attr.elements[1], Utf8String)):
+        attr = sequence_of(rdn.elements[0], Oid, Utf8String)
+        if attr is None:
             raise StructureMismatch("attribute must be SEQUENCE {OID, UTF8String}")
-        attrs.append((attr.elements[0], attr.elements[1].value))
+        attrs.append((attr[0], attr[1].value))
     if not attrs:
         raise StructureMismatch("empty Name")
     return Name(tuple(attrs))
@@ -398,16 +398,11 @@ def _extension_value(ext: Extension) -> DerValue:
 def _parse_extension_body(oid: Oid, body: bytes) -> object:
     value = decode_exact(body)
     if oid == oids.EXT_BASIC_CONSTRAINTS:
-        if not (isinstance(value, Sequence) and 1 <= len(value.elements) <= 2
-                and isinstance(value.elements[0], Boolean)):
+        bc = sequence_of(value, Boolean) or sequence_of(value, Boolean, Integer)
+        if bc is None or len(bc) == 2 and bc[1].value < 0:
             raise StructureMismatch("bad basicConstraints")
-        path_len = None
-        if len(value.elements) == 2:
-            if not isinstance(value.elements[1], Integer) \
-                    or value.elements[1].value < 0:
-                raise StructureMismatch("bad pathLen")
-            path_len = value.elements[1].value
-        return BasicConstraints(value.elements[0].value, path_len)
+        return BasicConstraints(bc[0].value,
+                                bc[1].value if len(bc) == 2 else None)
     if oid == oids.EXT_KEY_USAGE:
         return _parse_key_usage(value)
     if oid == oids.EXT_CERTIFICATE_POLICIES:
@@ -415,67 +410,52 @@ def _parse_extension_body(oid: Oid, body: bytes) -> object:
             raise StructureMismatch("bad certificatePolicies")
         infos = []
         for item in value.elements:
-            if not (isinstance(item, Sequence) and 1 <= len(item.elements) <= 2
-                    and isinstance(item.elements[0], Oid)):
+            info = sequence_of(item, Oid) or sequence_of(item, Oid, OctetString)
+            if info is None:
                 raise StructureMismatch("bad policy information")
-            qualifier = None
-            if len(item.elements) == 2:
-                if not isinstance(item.elements[1], OctetString):
-                    raise StructureMismatch("bad policy qualifier")
-                qualifier = item.elements[1].value
-            infos.append(PolicyInfo(item.elements[0], qualifier))
+            infos.append(PolicyInfo(info[0],
+                                    info[1].value if len(info) == 2 else None))
         return tuple(infos)
     if oid == oids.EXT_POLICY_MAPPINGS:
         if not isinstance(value, Sequence):
             raise StructureMismatch("bad policyMappings")
         mappings = []
         for item in value.elements:
-            if not (isinstance(item, Sequence) and len(item.elements) == 2
-                    and isinstance(item.elements[0], Oid)
-                    and isinstance(item.elements[1], Oid)):
+            pair = sequence_of(item, Oid, Oid)
+            if pair is None:
                 raise StructureMismatch("bad policy mapping")
-            if oids.ANY_POLICY in item.elements:
+            if oids.ANY_POLICY in pair:
                 raise StructureMismatch("anyPolicy in a policy mapping")
-            mappings.append(PolicyMapping(item.elements[0], item.elements[1]))
+            mappings.append(PolicyMapping(*pair))
         return tuple(mappings)
     if oid == oids.EXT_POLICY_CONSTRAINTS:
-        if not isinstance(value, Sequence) or not value.elements:
-            raise StructureMismatch("bad policyConstraints")
-        rep = ipm = None
-        for item in value.elements:
-            if not (isinstance(item, ContextTagged) and item.explicit
-                    and isinstance(item.inner, Integer)
-                    and item.inner.value >= 0):
-                raise StructureMismatch("bad policyConstraints field")
-            if item.number == 0 and rep is None:
-                rep = item.inner.value
-            elif item.number == 1 and ipm is None:
-                ipm = item.inner.value
-            else:
-                raise StructureMismatch("bad policyConstraints field")
-        return PolicyConstraints(rep, ipm)
+        fields = _constraint_fields(value, "policyConstraints")
+        if not all(isinstance(v, Integer) and v.value >= 0
+                   for v in fields.values()):
+            raise StructureMismatch("bad policyConstraints field")
+        return PolicyConstraints(*(fields[n].value if n in fields else None
+                                   for n in (0, 1)))
     if oid == oids.EXT_NAME_CONSTRAINTS:
-        if not isinstance(value, Sequence) or not value.elements:
-            raise StructureMismatch("bad nameConstraints")
-        permitted: tuple[Name, ...] = ()
-        excluded: tuple[Name, ...] = ()
-        for item in value.elements:
-            if not (isinstance(item, ContextTagged) and item.explicit
-                    and isinstance(item.inner, Sequence)):
-                raise StructureMismatch("bad nameConstraints field")
-            names = tuple(parse_name_value(n) for n in item.inner.elements)
-            if item.number == 0 and not permitted:
-                permitted = names
-            elif item.number == 1 and not excluded:
-                excluded = names
-            else:
-                raise StructureMismatch("bad nameConstraints field")
-        return NameConstraints(permitted, excluded)
+        fields = _constraint_fields(value, "nameConstraints")
+        if not all(isinstance(v, Sequence) for v in fields.values()):
+            raise StructureMismatch("bad nameConstraints field")
+        return NameConstraints(*(
+            tuple(parse_name_value(n) for n in fields[k].elements)
+            if k in fields else () for k in (0, 1)))
     if oid == oids.EXT_CRL_DISTRIBUTION_POINT:
         if not isinstance(value, Utf8String):
             raise StructureMismatch("bad crlDistributionPoint")
         return value.value
     raise StructureMismatch(f"no parser for extension {oid}")
+
+
+def _constraint_fields(value: DerValue, what: str) -> dict:
+    """The [0]/[1] fields of a constraints extension, at least one."""
+    fields = (tagged_fields(value.elements, (0, 1))
+              if isinstance(value, Sequence) else None)
+    if not fields:
+        raise StructureMismatch(f"bad {what}")
+    return fields
 
 
 def extensions_value(extensions: Extensions) -> Sequence:
@@ -496,13 +476,10 @@ def parse_extensions_value(value: DerValue) -> Extensions:
     seen = set()
     entries = []
     for item in value.elements:
-        if not (isinstance(item, Sequence) and len(item.elements) == 3
-                and isinstance(item.elements[0], Oid)
-                and isinstance(item.elements[1], Boolean)
-                and isinstance(item.elements[2], OctetString)):
+        entry = sequence_of(item, Oid, Boolean, OctetString)
+        if entry is None:
             raise StructureMismatch("bad extension entry")
-        oid, critical, body = (item.elements[0], item.elements[1].value,
-                               item.elements[2].value)
+        oid, critical, body = entry[0], entry[1].value, entry[2].value
         if oid in seen:
             raise StructureMismatch(f"duplicate extension {oid}")
         seen.add(oid)
@@ -538,7 +515,7 @@ def tbs_value(cert: Certificate) -> Sequence:
 
 
 def _parse_tbs(value: DerValue, signature: bytes) -> Certificate:
-    if not isinstance(value, Sequence) or len(value.elements) not in (7, 8):
+    if not isinstance(value, Sequence) or len(value.elements) < 7:
         raise StructureMismatch("bad TBS certificate shape")
     e = value.elements
     if not isinstance(e[0], Integer):
@@ -550,41 +527,44 @@ def _parse_tbs(value: DerValue, signature: bytes) -> Certificate:
     if not isinstance(e[2], Oid):
         raise StructureMismatch("bad signature algorithm")
     issuer = parse_name_value(e[3])
-    if not (isinstance(e[4], Sequence) and len(e[4].elements) == 2
-            and all(isinstance(t, GeneralizedTime) for t in e[4].elements)):
+    validity = sequence_of(e[4], GeneralizedTime, GeneralizedTime)
+    if validity is None:
         raise StructureMismatch("bad validity")
-    not_before, not_after = (t.value for t in e[4].elements)
+    not_before, not_after = (t.value for t in validity)
     if not_before > not_after:
         raise StructureMismatch("notBefore is after notAfter")
     subject = parse_name_value(e[5])
-    if not (isinstance(e[6], Sequence) and len(e[6].elements) == 2
-            and isinstance(e[6].elements[0], Oid)
-            and isinstance(e[6].elements[1], BitString)
-            and e[6].elements[1].unused_bits == 0):
+    spki = sequence_of(e[6], Oid, BitString)
+    if spki is None or spki[1].unused_bits != 0:
         raise StructureMismatch("bad subjectPublicKeyInfo")
-    extensions = Extensions()
-    if len(e) == 8:
-        if not (isinstance(e[7], ContextTagged) and e[7].explicit
-                and e[7].number == 0):
-            raise StructureMismatch("bad extensions wrapper")
-        extensions = parse_extensions_value(e[7].inner)
+    wrapped = tagged_fields(e[7:], (0,))
+    if wrapped is None:
+        raise StructureMismatch("bad extensions wrapper")
+    extensions = (parse_extensions_value(wrapped[0]) if wrapped
+                  else Extensions())
     return Certificate(
         version=3, serial=e[1].value, signature_alg=e[2], issuer=issuer,
         not_before=not_before, not_after=not_after, subject=subject,
-        public_key_alg=e[6].elements[0], public_key=e[6].elements[1].value,
+        public_key_alg=spki[0], public_key=spki[1].value,
         extensions=extensions, signature=signature)
+
+
+def _split_envelope(value: DerValue, what: str) -> tuple:
+    """(TBS, signature bytes) of SEQUENCE {tbs SEQUENCE, signature BIT
+    STRING}, the envelope of certificates and CRLs."""
+    envelope = sequence_of(value, Sequence, BitString)
+    if envelope is None or envelope[1].unused_bits != 0:
+        raise StructureMismatch(f"bad {what} envelope")
+    return envelope[0], envelope[1].value
 
 
 def certificate_from_value(value: DerValue, stored=None) -> Certificate:
     """``stored`` maps fingerprints to certificates parsed before; one with
     the value's bytes is returned as it is, not parsed again."""
-    if not (isinstance(value, Sequence) and len(value.elements) == 2
-            and isinstance(value.elements[1], BitString)
-            and value.elements[1].unused_bits == 0):
-        raise StructureMismatch("bad certificate envelope")
+    tbs, signature = _split_envelope(value, "certificate")
     if stored and (cert := stored.get(crypto.digest(value.der))) is not None:
         return cert
-    cert = _parse_tbs(value.elements[0], value.elements[1].value)
+    cert = _parse_tbs(tbs, signature)
     if cert.der != value.der:
         raise StructureMismatch("certificate does not re-encode canonically")
     return cert
@@ -642,40 +622,31 @@ def _crl_tbs_value(crl: Crl) -> Sequence:
 
 
 def crl_from_value(value: DerValue) -> Crl:
-    if not (isinstance(value, Sequence) and len(value.elements) == 2
-            and isinstance(value.elements[1], BitString)
-            and value.elements[1].unused_bits == 0):
-        raise StructureMismatch("bad CRL envelope")
-    tbs = value.elements[0]
-    if not (isinstance(tbs, Sequence) and len(tbs.elements) == 5
-            and isinstance(tbs.elements[1], GeneralizedTime)
-            and isinstance(tbs.elements[2], GeneralizedTime)
-            and isinstance(tbs.elements[3], Sequence)
-            and isinstance(tbs.elements[4], Oid)):
+    tbs, signature = _split_envelope(value, "CRL")
+    parts = sequence_of(tbs, Sequence, GeneralizedTime, GeneralizedTime,
+                        Sequence, Oid)
+    if parts is None:
         raise StructureMismatch("bad CRL TBS shape")
-    issuer = parse_name_value(tbs.elements[0])
-    this_update, next_update = (t.value for t in tbs.elements[1:3])
+    issuer = parse_name_value(parts[0])
+    this_update, next_update = parts[1].value, parts[2].value
     if this_update > next_update:
         raise StructureMismatch("thisUpdate is after nextUpdate")
     entries = []
-    for item in tbs.elements[3].elements:
-        if not (isinstance(item, Sequence) and len(item.elements) == 3
-                and isinstance(item.elements[0], Integer)
-                and isinstance(item.elements[1], GeneralizedTime)
-                and isinstance(item.elements[2], Integer)):
+    for item in parts[3].elements:
+        entry = sequence_of(item, Integer, GeneralizedTime, Integer)
+        if entry is None:
             raise StructureMismatch("bad revoked entry")
         try:
-            reason = ReasonCode(item.elements[2].value)
+            reason = ReasonCode(entry[2].value)
         except ValueError:
             raise StructureMismatch(
-                f"unknown reason code {item.elements[2].value}") from None
-        entries.append(RevokedEntry(item.elements[0].value,
-                                    item.elements[1].value, reason))
+                f"unknown reason code {entry[2].value}") from None
+        entries.append(RevokedEntry(entry[0].value, entry[1].value, reason))
     serials = [e.serial for e in entries]
     if serials != sorted(set(serials)) or any(s < 0 for s in serials):
         raise StructureMismatch("revoked serials must be strictly increasing")
-    crl = Crl(issuer, this_update, next_update, tuple(entries),
-              tbs.elements[4], value.elements[1].value)
+    crl = Crl(issuer, this_update, next_update, tuple(entries), parts[4],
+              signature)
     if crl.der != value.der:
         raise StructureMismatch("CRL does not re-encode canonically")
     return crl

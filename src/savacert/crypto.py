@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from . import oids
-from .der import Oid, OctetString, Sequence, decode_exact, encode
+from .der import Oid, OctetString, Sequence, decode_exact, encode, sequence_of
 
 ALGORITHM = oids.ALG_ED25519
 
@@ -86,12 +86,10 @@ def encode_key(key: KeyPair) -> bytes:
 
 
 def decode_key(data: bytes) -> KeyPair:
-    value = decode_exact(data)
-    if not (isinstance(value, Sequence) and len(value.elements) == 2
-            and isinstance(value.elements[0], Oid)
-            and isinstance(value.elements[1], OctetString)):
+    fields = sequence_of(decode_exact(data), Oid, OctetString)
+    if fields is None:
         raise MalformedKey("key file is not SEQUENCE {OID, OCTET STRING}")
-    if value.elements[0] != ALGORITHM:
-        raise MalformedKey(f"key file names algorithm {value.elements[0]}, "
+    if fields[0] != ALGORITHM:
+        raise MalformedKey(f"key file names algorithm {fields[0]}, "
                            f"not {ALGORITHM}")
-    return _key_pair(value.elements[1].value)
+    return _key_pair(fields[1].value)

@@ -3,8 +3,10 @@
 Values are plain frozen dataclasses; ``encode`` produces the unique DER
 encoding and ``decode`` accepts only that encoding (re-encoding a decoded
 value is byte-identical).  Anything outside the supported tag set, any
-non-minimal length or integer, and any indefinite length is rejected.  A
-decoded SEQUENCE keeps the bytes it was read from in ``der``.
+non-minimal length or integer, and any indefinite length is rejected; a
+context tag is always EXPLICIT.  A decoded SEQUENCE keeps the bytes it was
+read from in ``der``.  ``sequence_of`` and ``tagged_fields`` are the shape
+checks that every parser of a decoded value uses.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from typing import Union
 
 MAX_DEPTH = 32          # decoder recursion bound
 MAX_ELEMENT = 1 << 20   # decoder per-element content bound (1 MiB)
-
-_PRINTABLE = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                 "0123456789 '()+,-./:=?")
 
 
 class DerError(Exception):
@@ -99,11 +98,6 @@ class Utf8String:
 
 
 @dataclass(frozen=True)
-class PrintableString:
-    value: str
-
-
-@dataclass(frozen=True)
 class GeneralizedTime:
     """UTC instant with seconds precision; renders as YYYYMMDDHHMMSSZ."""
 
@@ -111,11 +105,6 @@ class GeneralizedTime:
 
     def __str__(self) -> str:
         return format_time(self.value)
-
-
-@dataclass(frozen=True)
-class Null:
-    pass
 
 
 @dataclass(frozen=True)
@@ -139,12 +128,10 @@ class Set:
 
 @dataclass(frozen=True)
 class ContextTagged:
-    """Context-class tag.  Explicit wraps one full inner TLV; implicit
-    re-tags raw content and therefore only carries an OctetString."""
+    """[number] EXPLICIT: a context-class tag wrapping one full inner TLV."""
 
     number: int
     inner: "DerValue"
-    explicit: bool = True
 
 
 @dataclass(frozen=True)
@@ -158,17 +145,14 @@ class Raw:
 
 
 DerValue = Union[Boolean, Integer, OctetString, BitString, Oid, Utf8String,
-                 PrintableString, GeneralizedTime, Null, Sequence, Set,
-                 ContextTagged, Raw]
+                 GeneralizedTime, Sequence, Set, ContextTagged, Raw]
 
 _TAG_BOOLEAN = 0x01
 _TAG_INTEGER = 0x02
 _TAG_BITSTRING = 0x03
 _TAG_OCTETSTRING = 0x04
-_TAG_NULL = 0x05
 _TAG_OID = 0x06
 _TAG_UTF8 = 0x0C
-_TAG_PRINTABLE = 0x13
 _TAG_GENTIME = 0x18
 _TAG_SEQUENCE = 0x30
 _TAG_SET = 0x31
@@ -252,16 +236,10 @@ def encode(value: DerValue) -> bytes:
         return _tlv(_TAG_BITSTRING, bytes([value.unused_bits]) + value.value)
     if isinstance(value, OctetString):
         return _tlv(_TAG_OCTETSTRING, value.value)
-    if isinstance(value, Null):
-        return _tlv(_TAG_NULL, b"")
     if isinstance(value, Oid):
         return _tlv(_TAG_OID, _encode_oid_content(value))
     if isinstance(value, Utf8String):
         return _tlv(_TAG_UTF8, value.value.encode("utf-8"))
-    if isinstance(value, PrintableString):
-        if not set(value.value) <= _PRINTABLE:
-            raise InvalidValue("character outside PrintableString set")
-        return _tlv(_TAG_PRINTABLE, value.value.encode("ascii"))
     if isinstance(value, GeneralizedTime):
         return _tlv(_TAG_GENTIME, format_time(value.value).encode("ascii"))
     if isinstance(value, Sequence):
@@ -273,11 +251,7 @@ def encode(value: DerValue) -> bytes:
     if isinstance(value, ContextTagged):
         if not 0 <= value.number <= 30:
             raise InvalidValue(f"context tag number {value.number} out of range")
-        if value.explicit:
-            return _tlv(0xA0 | value.number, encode(value.inner))
-        if not isinstance(value.inner, OctetString):
-            raise InvalidValue("implicit context tag carries raw octets only")
-        return _tlv(0x80 | value.number, value.inner.value)
+        return _tlv(0xA0 | value.number, encode(value.inner))
     raise InvalidValue(f"not a DerValue: {type(value).__name__}")
 
 
@@ -360,14 +334,13 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
     cls = tag & 0xC0
     constructed = bool(tag & 0x20)
 
-    if cls == 0x80:  # context class
-        number = tag & 0x1F
-        if constructed:
-            inner, stop = _decode_at(data, pos, after, depth + 1)
-            if stop != after:
-                raise DecodeError("explicit tag must wrap exactly one value")
-            return ContextTagged(number, inner, explicit=True), after
-        return ContextTagged(number, OctetString(data[pos:after]), False), after
+    if cls == 0x80:  # context class: explicit tags only
+        if not constructed:
+            raise UnknownTag(f"implicit context tag 0x{tag:02x} unsupported")
+        inner, stop = _decode_at(data, pos, after, depth + 1)
+        if stop != after:
+            raise DecodeError("explicit tag must wrap exactly one value")
+        return ContextTagged(tag & 0x1F, inner), after
     if cls != 0x00:
         raise UnknownTag(f"unsupported tag class 0x{cls:02x}")
 
@@ -412,10 +385,6 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
         return BitString(body, unused), after
     if tag == _TAG_OCTETSTRING:
         return OctetString(content), after
-    if tag == _TAG_NULL:
-        if content:
-            raise DecodeError("NULL content must be empty")
-        return Null(), after
     if tag == _TAG_OID:
         return _decode_oid_content(content), after
     if tag == _TAG_UTF8:
@@ -423,14 +392,6 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[DerValue, i
             return Utf8String(content.decode("utf-8")), after
         except UnicodeDecodeError as exc:
             raise DecodeError("invalid UTF-8 in string") from exc
-    if tag == _TAG_PRINTABLE:
-        try:
-            text = content.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("non-ASCII byte in PrintableString") from exc
-        if not set(text) <= _PRINTABLE:
-            raise DecodeError("character outside PrintableString set")
-        return PrintableString(text), after
     if tag == _TAG_GENTIME:
         try:
             text = content.decode("ascii")
@@ -451,6 +412,27 @@ def decode_exact(data: bytes) -> DerValue:
     if used != len(data):
         raise TrailingGarbage(f"{len(data) - used} byte(s) after value")
     return value
+
+
+def sequence_of(value: DerValue, *kinds) -> tuple | None:
+    """The elements of ``value`` when it is a SEQUENCE holding exactly one
+    value of each of ``kinds``, in order; else None."""
+    if isinstance(value, Sequence) and len(value.elements) == len(kinds) \
+            and all(map(isinstance, value.elements, kinds)):
+        return value.elements
+    return None
+
+
+def tagged_fields(elements, numbers) -> dict | None:
+    """``{n: inner}`` when every element is [n] EXPLICIT with ``n`` in
+    ``numbers``, in ascending order and at most once each; else None."""
+    fields = {}
+    for item in elements:
+        if not (isinstance(item, ContextTagged) and item.number in numbers
+                and item.number > max(fields, default=-1)):
+            return None
+        fields[item.number] = item.inner
+    return fields
 
 
 def named_bits(positions) -> BitString:

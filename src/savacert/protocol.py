@@ -45,6 +45,8 @@ from .der import (
     decode_exact,
     encode,
     named_bits,
+    sequence_of,
+    tagged_fields,
 )
 from .policytree import CprRequirement
 from .validation import FailureReason, Verdict, VerdictStatus
@@ -118,43 +120,6 @@ class RequestInformation:
     dvcs_name: Name | None = None
     extensions: tuple[RequestExtension, ...] = ()
 
-    def extension(self, oid: Oid) -> RequestExtension | None:
-        for ext in self.extensions:
-            if ext.oid == oid:
-                return ext
-        return None
-
-    def _payload(self, oid: Oid, kind, complaint: str):
-        """The extension's decoded value, or None when it is absent."""
-        ext = self.extension(oid)
-        if ext is None:
-            return None
-        value = decode_exact(ext.value)
-        if not isinstance(value, kind):
-            raise ProtocolError(complaint)
-        return value
-
-    def intended_usage(self) -> str | None:
-        value = self._payload(oids.REQ_INTENDED_USAGE, Utf8String,
-                              "intendedUsage must be a UTF8String")
-        return None if value is None else value.value
-
-    def want_backs(self) -> frozenset | None:
-        """None when the extension is absent (server default applies)."""
-        value = self._payload(oids.REQ_WANT_BACKS, BitString,
-                              "wantBacks must be a BIT STRING")
-        if value is None:
-            return None
-        try:
-            return frozenset(WantBack(b) for b in bit_positions(value))
-        except ValueError as exc:
-            raise ProtocolError(f"unknown want-back bit: {exc}") from None
-
-    def time_override(self) -> datetime.datetime | None:
-        value = self._payload(oids.REQ_TIME_OVERRIDE, GeneralizedTime,
-                              "validationTimeOverride must be a time")
-        return None if value is None else value.value
-
 
 @dataclass(frozen=True)
 class RequestSignature:
@@ -171,10 +136,11 @@ class ValidationRequest:
     explicit_policy_required: bool = False
     inhibit_policy_mapping: bool = False
     signature: RequestSignature | None = None
-    supplied: tuple[Certificate, ...] = ()  # the suppliedChains extension
-    # the other extension payloads, decoded once; see RequestInformation
+    # the known request extensions' payloads, which parse_request decodes
+    # once; see REQUEST_EXTENSIONS
+    supplied: tuple[Certificate, ...] = ()
     intended_usage: str | None = None
-    want_backs: frozenset | None = None
+    want_backs: frozenset | None = None  # None: the server default applies
     time_override: datetime.datetime | None = None
 
     def target_fingerprints(self) -> list[bytes]:
@@ -248,14 +214,14 @@ def target_fingerprint(target) -> bytes:
 # ---------------------------------------------------------------------------
 # structure helpers
 
-def _optional(elements, start, number):
-    """Next element when it is [number] EXPLICIT, else None."""
-    if start < len(elements):
-        item = elements[start]
-        if isinstance(item, ContextTagged) and item.explicit \
-                and item.number == number:
-            return item.inner
-    return None
+def _fields(elements, kinds: dict, complaint: str) -> dict:
+    """der.tagged_fields over the numbers in ``kinds``, each field's value of
+    its kind, or ProtocolError(complaint)."""
+    fields = tagged_fields(elements, kinds)
+    if fields is None or not all(isinstance(v, kinds[n])
+                                 for n, v in fields.items()):
+        raise ProtocolError(complaint)
+    return fields
 
 
 def _oid_list(value: DerValue, what: str) -> tuple[Oid, ...]:
@@ -294,44 +260,22 @@ def parse_info_value(value: DerValue) -> RequestInformation:
             and isinstance(e[2], Integer)
             and isinstance(e[3], GeneralizedTime)):
         raise ProtocolError("bad requestInformation header fields")
-    at = 4
-    requester = _optional(e, at, 0)
-    if requester is not None:
-        requester = parse_name_value(requester)
-        at += 1
-    request_policy = _optional(e, at, 1)
-    if request_policy is not None:
-        if not isinstance(request_policy, Oid):
-            raise ProtocolError("requestPolicy must be an OID")
-        at += 1
-    dvcs_name = _optional(e, at, 2)
-    if dvcs_name is not None:
-        dvcs_name = parse_name_value(dvcs_name)
-        at += 1
-    extensions_value = _optional(e, at, 3)
-    extensions: tuple[RequestExtension, ...] = ()
-    if extensions_value is not None:
-        at += 1
-        if not isinstance(extensions_value, Sequence):
-            raise ProtocolError("bad request extensions")
-        parsed = []
-        for item in extensions_value.elements:
-            if not (isinstance(item, Sequence) and len(item.elements) == 3
-                    and isinstance(item.elements[0], Oid)
-                    and isinstance(item.elements[1], Boolean)
-                    and isinstance(item.elements[2], OctetString)):
-                raise ProtocolError("bad request extension entry")
-            parsed.append(RequestExtension(
-                item.elements[0], item.elements[1].value,
-                item.elements[2].value))
-        extensions = tuple(parsed)
-    if at != len(e):
-        raise ProtocolError("unexpected fields in requestInformation")
+    fields = _fields(e[4:], {0: Sequence, 1: Oid, 2: Sequence, 3: Sequence},
+                     "bad requestInformation field")
+    extensions = []
+    for item in fields[3].elements if 3 in fields else ():
+        entry = sequence_of(item, Oid, Boolean, OctetString)
+        if entry is None:
+            raise ProtocolError("bad request extension entry")
+        extensions.append(RequestExtension(entry[0], entry[1].value,
+                                           entry[2].value))
+    requester, dvcs_name = (parse_name_value(fields[n]) if n in fields
+                            else None for n in (0, 2))
     return RequestInformation(
         nonce=e[2].value, request_time=e[3].value, version=e[0].value,
         service=e[1].value, requester=requester,
-        request_policy=request_policy, dvcs_name=dvcs_name,
-        extensions=extensions)
+        request_policy=fields.get(1), dvcs_name=dvcs_name,
+        extensions=tuple(extensions))
 
 
 def encode_info(info: RequestInformation) -> bytes:
@@ -369,7 +313,7 @@ def _open_envelope(data: bytes) -> tuple[int, DerValue]:
         value = decode_exact(data)
     except DerError as exc:
         raise ProtocolError(f"not DER: {exc}") from exc
-    if not (isinstance(value, ContextTagged) and value.explicit):
+    if not isinstance(value, ContextTagged):
         raise ProtocolError("message must be a tagged envelope")
     return value.number, value.inner
 
@@ -426,52 +370,81 @@ def build_request(*, targets, cpr: CprRequirement, now: datetime.datetime,
     return request
 
 
+def _want_backs(value: BitString) -> frozenset:
+    try:
+        return frozenset(WantBack(b) for b in bit_positions(value))
+    except ValueError as exc:
+        raise ProtocolError(f"unknown want-back bit: {exc}") from None
+
+
+# each known request extension: OID -> (ValidationRequest field, payload
+# type, complaint when the payload has another type, payload -> field value)
+REQUEST_EXTENSIONS = {
+    oids.REQ_INTENDED_USAGE: ("intended_usage", Utf8String,
+                              "intendedUsage must be a UTF8String",
+                              lambda v: v.value),
+    oids.REQ_SUPPLIED_CHAINS: ("supplied", Sequence,
+                               "suppliedChains must be a SEQUENCE",
+                               lambda v: v.elements),
+    oids.REQ_WANT_BACKS: ("want_backs", BitString,
+                          "wantBacks must be a BIT STRING", _want_backs),
+    oids.REQ_TIME_OVERRIDE: ("time_override", GeneralizedTime,
+                             "validationTimeOverride must be a time",
+                             lambda v: v.value),
+}
+
+
+def _extension_payloads(info: RequestInformation) -> dict:
+    """The known extensions' ValidationRequest fields; an extension OID may
+    appear once."""
+    fields, seen = {}, set()
+    for ext in info.extensions:
+        if ext.oid in seen:
+            raise ProtocolError(f"repeated request extension {ext.oid}")
+        seen.add(ext.oid)
+        if ext.oid in REQUEST_EXTENSIONS:
+            name, kind, complaint, convert = REQUEST_EXTENSIONS[ext.oid]
+            value = decode_exact(ext.value)
+            if not isinstance(value, kind):
+                raise ProtocolError(complaint)
+            fields[name] = convert(value)
+    return fields
+
+
 def parse_request(data: bytes, stored=None) -> ValidationRequest:
     """``stored`` (a snapshot's fingerprint index) supplies every target or
     supplied certificate it holds; see certificate_from_value."""
     kind, value = _open_envelope(data)
     if kind != _KIND_REQUEST:
         raise ProtocolError(f"expected a request, got message kind {kind}")
-    if not (isinstance(value, Sequence) and len(value.elements) in (1, 2)):
+    if not isinstance(value, Sequence) or not value.elements:
         raise ProtocolError("bad request envelope")
-    body = value.elements[0]
-    if not (isinstance(body, Sequence) and len(body.elements) == 5):
+    body = sequence_of(value.elements[0], Sequence, Sequence, Sequence,
+                       Boolean, Boolean)
+    if body is None:
         raise ProtocolError("bad request body shape")
-    info = parse_info_value(body.elements[0])
-    targets_value = body.elements[1]
-    if not isinstance(targets_value, Sequence) or not targets_value.elements:
+    info = parse_info_value(body[0])
+    if not body[1].elements:
         raise ProtocolError("a request carries at least one target")
     targets = tuple(certificate_from_value(t, stored)
-                    for t in targets_value.elements)
-    acceptable = _oid_list(body.elements[2], "acceptablePolicySet")
-    if not (isinstance(body.elements[3], Boolean)
-            and isinstance(body.elements[4], Boolean)):
-        raise ProtocolError("bad CPR flags")
+                    for t in body[1].elements)
     signature = None
-    if len(value.elements) == 2:
-        wrapper = value.elements[1]
-        if not (isinstance(wrapper, ContextTagged) and wrapper.explicit
-                and wrapper.number == 0
-                and isinstance(wrapper.inner, Sequence)
-                and len(wrapper.inner.elements) == 3
-                and isinstance(wrapper.inner.elements[1], Oid)
-                and isinstance(wrapper.inner.elements[2], BitString)):
+    wrapped = _fields(value.elements[1:], {0: Sequence},
+                      "bad request signature")
+    if wrapped:
+        sig = sequence_of(wrapped[0], Sequence, Oid, BitString)
+        if sig is None:
             raise ProtocolError("bad request signature")
-        signature = RequestSignature(
-            certificate_from_value(wrapper.inner.elements[0], stored),
-            wrapper.inner.elements[1],
-            wrapper.inner.elements[2].value)
-    supplied = info._payload(oids.REQ_SUPPLIED_CHAINS, Sequence,
-                             "suppliedChains must be a SEQUENCE")
-    supplied = () if supplied is None else tuple(
-        certificate_from_value(c, stored) for c in supplied.elements)
-    request = ValidationRequest(
-        info=info, targets=targets, acceptable_set=acceptable,
-        explicit_policy_required=body.elements[3].value,
-        inhibit_policy_mapping=body.elements[4].value, signature=signature,
-        supplied=supplied, intended_usage=info.intended_usage(),
-        want_backs=info.want_backs(), time_override=info.time_override())
-    return request
+        signature = RequestSignature(certificate_from_value(sig[0], stored),
+                                     sig[1], sig[2].value)
+    fields = _extension_payloads(info)
+    fields["supplied"] = tuple(certificate_from_value(c, stored)
+                               for c in fields.get("supplied", ()))
+    return ValidationRequest(
+        info=info, targets=targets,
+        acceptable_set=_oid_list(body[2], "acceptablePolicySet"),
+        explicit_policy_required=body[3].value,
+        inhibit_policy_mapping=body[4].value, signature=signature, **fields)
 
 
 def verify_request_signature(request: ValidationRequest) -> bool:
@@ -502,29 +475,18 @@ def _evidence_value(evidence: EvidenceOut) -> Sequence:
     return Sequence(elements)
 
 
-def _parse_evidence(value: DerValue) -> EvidenceOut:
-    if not isinstance(value, Sequence):
-        raise ProtocolError("bad evidence shape")
-    chain = crls = replies = validation_time = None
-    last = -1  # entries come in ascending tag order, at most one of each
-    for item in value.elements:
-        if not (isinstance(item, ContextTagged) and item.explicit
-                and item.number > last):
-            raise ProtocolError("bad evidence entry")
-        last = item.number
-        if item.number == 0 and isinstance(item.inner, Sequence):
-            chain = tuple(certificate_from_value(c)
-                          for c in item.inner.elements)
-        elif item.number == 1 and isinstance(item.inner, Sequence):
-            crls = tuple(crl_from_value(c) for c in item.inner.elements)
-        elif item.number == 2 and isinstance(item.inner, Sequence) and all(
-                isinstance(r, OctetString) for r in item.inner.elements):
-            replies = tuple(r.value for r in item.inner.elements)
-        elif item.number == 3 and isinstance(item.inner, GeneralizedTime):
-            validation_time = item.inner.value
-        else:
-            raise ProtocolError("bad evidence entry")
-    return EvidenceOut(chain, crls, replies, validation_time)
+def _parse_evidence(value: Sequence) -> EvidenceOut:
+    fields = _fields(value.elements, {0: Sequence, 1: Sequence, 2: Sequence,
+                                      3: GeneralizedTime}, "bad evidence entry")
+    if 2 in fields and not all(isinstance(r, OctetString)
+                               for r in fields[2].elements):
+        raise ProtocolError("bad evidence entry")
+    chain, crls, replies, at = (fields.get(n) for n in range(4))
+    return EvidenceOut(
+        chain and tuple(certificate_from_value(c) for c in chain.elements),
+        crls and tuple(crl_from_value(c) for c in crls.elements),
+        replies and tuple(r.value for r in replies.elements),
+        at and at.value)
 
 
 _STATUS_CODES = {VerdictStatus.VALID: 0, VerdictStatus.INVALID: 1,
@@ -564,27 +526,21 @@ def _parse_result(value: DerValue) -> TargetResult:
         raise ProtocolError("bad mappings list")
     mappings = []
     for item in e[3].elements:
-        if not (isinstance(item, Sequence) and len(item.elements) == 2
-                and all(isinstance(o, Oid) for o in item.elements)):
+        pair = sequence_of(item, Oid, Oid)
+        if pair is None:
             raise ProtocolError("bad mapping entry")
-        mappings.append((item.elements[0], item.elements[1]))
-    reason = failing_index = unknown_cause = evidence = None
-    last = -1  # fields come in ascending tag order, at most one of each
-    for item in e[4:]:
-        if not (isinstance(item, ContextTagged) and item.explicit
-                and item.number > last):
-            raise ProtocolError("bad target result field")
-        last = item.number
-        if item.number == 0 and isinstance(item.inner, Integer):
-            reason = FailureReason(item.inner.value)
-        elif item.number == 1 and isinstance(item.inner, Integer):
-            failing_index = item.inner.value
-        elif item.number == 2 and isinstance(item.inner, Utf8String):
-            unknown_cause = item.inner.value
-        elif item.number == 3:
-            evidence = _parse_evidence(item.inner)
-        else:
-            raise ProtocolError("bad target result field")
+        mappings.append(pair)
+    fields = _fields(e[4:], {0: Integer, 1: Integer, 2: Utf8String,
+                             3: Sequence}, "bad target result field")
+    reason = fields.get(0)
+    if reason is not None:
+        try:
+            reason = FailureReason(reason.value)
+        except ValueError as exc:
+            raise ProtocolError(f"unknown failure reason: {exc}") from None
+    failing_index, unknown_cause = (fields[n].value if n in fields else None
+                                    for n in (1, 2))
+    evidence = _parse_evidence(fields[3]) if 3 in fields else None
     return TargetResult(e[0].value, status, authorized, tuple(mappings),
                         reason, failing_index, unknown_cause, evidence)
 
@@ -600,18 +556,14 @@ def dvc_info_value(info: DvcInfo) -> Sequence:
 
 
 def _parse_dvc_info(value: DerValue) -> DvcInfo:
-    if not (isinstance(value, Sequence) and len(value.elements) == 5
-            and isinstance(value.elements[0], Integer)
-            and isinstance(value.elements[1], Integer)
-            and isinstance(value.elements[2], GeneralizedTime)
-            and isinstance(value.elements[4], Sequence)):
+    e = sequence_of(value, Integer, Integer, GeneralizedTime, Sequence,
+                    Sequence)
+    if e is None:
         raise ProtocolError("bad DVC info shape")
-    return DvcInfo(
-        serial_number=value.elements[1].value,
-        produced_at=value.elements[2].value,
-        echo=parse_info_value(value.elements[3]),
-        results=tuple(_parse_result(r) for r in value.elements[4].elements),
-        version=value.elements[0].value)
+    return DvcInfo(serial_number=e[1].value, produced_at=e[2].value,
+                   echo=parse_info_value(e[3]),
+                   results=tuple(_parse_result(r) for r in e[4].elements),
+                   version=e[0].value)
 
 
 def _signed_envelope(kind: int, info: DerValue,
@@ -651,23 +603,18 @@ def sign_error_notice(notice: ErrorNotice, signer: Certificate,
                             key)
 
 
-def _parse_signed_tail(elements, start):
+def _parse_signed_tail(elements):
+    """(signer, signature) from the optional [0] signer and [1] signature."""
+    fields = _fields(elements, {0: Sequence, 1: Sequence},
+                     "unexpected fields after signature")
     signer = signature = None
-    at = start
-    wrapped = _optional(elements, at, 0)
-    if wrapped is not None:
-        signer = certificate_from_value(wrapped)
-        at += 1
-    wrapped = _optional(elements, at, 1)
-    if wrapped is not None:
-        if not (isinstance(wrapped, Sequence) and len(wrapped.elements) == 2
-                and isinstance(wrapped.elements[0], Oid)
-                and isinstance(wrapped.elements[1], BitString)):
+    if 0 in fields:
+        signer = certificate_from_value(fields[0])
+    if 1 in fields:
+        sig = sequence_of(fields[1], Oid, BitString)
+        if sig is None:
             raise ProtocolError("bad response signature")
-        signature = (wrapped.elements[0], wrapped.elements[1].value)
-        at += 1
-    if at != len(elements):
-        raise ProtocolError("unexpected fields after signature")
+        signature = (sig[0], sig[1].value)
     return signer, signature
 
 
@@ -679,7 +626,7 @@ def parse_response(data: bytes):
         raise ProtocolError("bad response envelope")
     if kind == _KIND_DVC:
         info = _parse_dvc_info(value.elements[0])
-        signer, signature = _parse_signed_tail(value.elements, 1)
+        signer, signature = _parse_signed_tail(value.elements[1:])
         return DvcResponse(info, signer, signature, value.elements[0].der)
     if kind == _KIND_ERROR:
         body = value.elements[0]
@@ -691,13 +638,11 @@ def parse_response(data: bytes):
             code = ErrorCode(body.elements[0].value)
         except ValueError as exc:
             raise ProtocolError(f"unknown error code: {exc}") from None
-        echo = None
-        if len(body.elements) == 3:
-            wrapped = _optional(body.elements, 2, 0)
-            if wrapped is None:
-                raise ProtocolError("bad error notice echo")
-            echo = parse_info_value(wrapped)
-        signer, signature = _parse_signed_tail(value.elements, 1)
+        echo = _fields(body.elements[2:], {0: Sequence},
+                       "bad error notice echo").get(0)
+        if echo is not None:
+            echo = parse_info_value(echo)
+        signer, signature = _parse_signed_tail(value.elements[1:])
         return ErrorNotice(code, body.elements[1].value, echo, signer,
                            signature, body.der)
     raise ProtocolError(f"unexpected message kind {kind}")

@@ -29,6 +29,7 @@ from .der import (
     Utf8String,
     decode_exact,
     encode,
+    sequence_of,
 )
 
 STATUS_CONTENT_TYPE = "application/savacert-status"
@@ -132,14 +133,10 @@ def build_status_query(issuer: Name, serial: int,
 
 
 def parse_status_query(data: bytes) -> tuple[bytes, int, int]:
-    value = decode_exact(data)
-    if not (isinstance(value, Sequence) and len(value.elements) == 3
-            and isinstance(value.elements[0], OctetString)
-            and isinstance(value.elements[1], Integer)
-            and isinstance(value.elements[2], Integer)):
+    query = sequence_of(decode_exact(data), OctetString, Integer, Integer)
+    if query is None:
         raise DecodeError("bad status query shape")
-    return (value.elements[0].value, value.elements[1].value,
-            value.elements[2].value)
+    return tuple(e.value for e in query)
 
 
 def _status_body(status: CertStatus) -> Sequence:
@@ -192,16 +189,14 @@ def verify_status_reply(reply_der: bytes, query_der: bytes,
                         responder_cert: Certificate) -> CertStatus:
     """Check signature, echo and nonce; map the reply onto a CertStatus
     carrying the raw reply as evidence."""
-    value = decode_exact(reply_der)
-    if not (isinstance(value, Sequence) and len(value.elements) == 5
-            and isinstance(value.elements[3], Oid)
-            and isinstance(value.elements[4], BitString)):
+    reply = sequence_of(decode_exact(reply_der), Sequence, Sequence,
+                        GeneralizedTime, Oid, BitString)
+    if reply is None:
         raise DecodeError("bad status reply shape")
-    signed_part = Sequence(value.elements[:4])
-    if not crypto.verify(responder_cert.public_key, value.elements[3],
-                         encode(signed_part), value.elements[4].value):
+    if not crypto.verify(responder_cert.public_key, reply[3],
+                         encode(Sequence(reply[:4])), reply[4].value):
         raise BadResponderSignature("status reply signature does not verify")
-    echoed = encode(value.elements[0])
+    echoed = reply[0].der  # the query's bytes as received
     if echoed != query_der:
         _, _, sent_nonce = parse_status_query(query_der)
         try:
@@ -212,7 +207,7 @@ def verify_status_reply(reply_der: bytes, query_der: bytes,
             raise NonceMismatch(f"responder echoed nonce {got_nonce}, "
                                 f"sent {sent_nonce}")
         raise StatusError("status reply query echo mismatch")
-    status_value, date, reason, cause = _parse_status_body(value.elements[1])
+    status_value, date, reason, cause = _parse_status_body(reply[1])
     return CertStatus(status_value, "online", reply_der, date, reason, cause)
 
 

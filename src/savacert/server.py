@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from . import crypto, der, oids, protocol, revocation
+from . import crypto, der, protocol, revocation
 from .certs import Name, StructureMismatch, parse_certificate
 from .config import (
     ConfigError,
@@ -57,11 +57,6 @@ _WANT_BACK_NAMES = {
     "onlineReplies": WantBack.ONLINE_REPLIES,
     "validationTime": WantBack.VALIDATION_TIME,
 }
-
-_KNOWN_REQUEST_EXTENSIONS = frozenset({
-    oids.REQ_INTENDED_USAGE, oids.REQ_SUPPLIED_CHAINS,
-    oids.REQ_WANT_BACKS, oids.REQ_TIME_OVERRIDE,
-})
 
 
 @dataclass(frozen=True)
@@ -103,6 +98,15 @@ class ServerConfig:
         raise ConfigError("no default validation policy")
 
 
+def _parse_oid(text: str, *, where: str) -> Oid:
+    try:
+        oid = Oid(text)
+        der.encode(oid)  # arcs out of range or too few
+    except (ValueError, der.InvalidValue):
+        raise ConfigError(f"{where}: not an OID: {text!r}") from None
+    return oid
+
+
 def _parse_policy(section) -> ValidationPolicy:
     label = section.arg or "default"
     oid_text = section.get("oid")
@@ -112,7 +116,8 @@ def _parse_policy(section) -> ValidationPolicy:
     for key, value in section.pairs():
         if key.startswith("usage "):
             usage = key[len("usage "):].strip()
-            policies = tuple(Oid(p) for p in split_list(value))
+            policies = tuple(_parse_oid(p, where=f"policy {label}: {key}")
+                             for p in split_list(value))
             if not usage or not policies:
                 raise ConfigError(
                     f"policy {label}: usage entries need a name and a "
@@ -127,7 +132,7 @@ def _parse_policy(section) -> ValidationPolicy:
     if revocation_mode not in REVOCATION_REGIMES:
         raise ConfigError(f"policy {label}: bad revocation {revocation_mode!r}")
     return ValidationPolicy(
-        oid=Oid(oid_text), label=label,
+        oid=_parse_oid(oid_text, where=f"policy {label}: oid"), label=label,
         anchor_labels=tuple(split_list(section.get("anchors", "*"))) or ("*",),
         revocation=revocation_mode,
         max_chain_length=parse_int(section.get("max_chain_length", "8"),
@@ -185,8 +190,12 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
     if key_path is None or cert_path is None or repository is None:
         raise ConfigError("[server] needs key, certificate and repository")
     responder_cert = _path("responder_certificate")
+    try:
+        name = Name.from_string(name_text)
+    except ValueError as exc:
+        raise ConfigError(f"[server] name: {exc}") from None
     return ServerConfig(
-        name=Name.from_string(name_text),
+        name=name,
         key_path=key_path, cert_path=cert_path, repository=repository,
         serial_state=_path("serial_state", "serial.state"),
         listen=parse_listen(server_section.get("listen", "127.0.0.1:0"),
@@ -282,12 +291,6 @@ class CvsServer:
                 raise ConfigError(f"policy {policy.label}: {policy.revocation}"
                                   f" revocation needs a responder_url")
 
-    # -- repository ---------------------------------------------------------
-
-    def reload_repository(self) -> None:
-        # requests hold a reference to one snapshot; swapping is atomic
-        self.repository = Repository.load(self.config.repository)
-
     # -- admission ----------------------------------------------------------
 
     def _select_policy(self, request: ValidationRequest) -> ValidationPolicy:
@@ -331,7 +334,7 @@ class CvsServer:
         if policy is None:
             self._select_policy(request)  # re-raise unknownRequestPolicy
         for ext in request.info.extensions:
-            if ext.critical and ext.oid not in _KNOWN_REQUEST_EXTENSIONS:
+            if ext.critical and ext.oid not in protocol.REQUEST_EXTENSIONS:
                 raise AdmissionFailure(
                     ErrorCode.MALFORMED_REQUEST,
                     f"unknown critical request extension {ext.oid}")

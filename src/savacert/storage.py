@@ -51,8 +51,7 @@ def parse_anchor_manifest(text: str) -> list[AnchorEntry]:
 
 @dataclass
 class Repository:
-    """One immutable snapshot of the on-disk store.  Reloading builds a new
-    snapshot; callers swap the reference atomically."""
+    """One immutable snapshot of the on-disk store."""
 
     root: Path
     # every stored certificate, indexed once; per-request graphs share it

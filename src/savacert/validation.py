@@ -263,7 +263,7 @@ def validate_target(graph: CertGraph, target: Certificate,
     verdict, else (no chain, or ``MAX_FULL_VALIDATIONS`` spent) an unknown
     one.  Past the first candidate, only chains whose every edge passes are
     validated.  The memo ``checked`` lives for one request at most (a fresh
-    one by default), so a repository reload never meets a stale entry."""
+    one by default), so it never outlives the snapshot it was filled from."""
     if checked is None:
         checked = {}
     first = next(chains(graph, target, max_length), None)

@@ -51,7 +51,7 @@ def junk_in_replies(value: der.DerValue) -> der.DerValue:
     list ([2] EXPLICIT SEQUENCE OF OCTET STRING); all else as it was."""
     if isinstance(value, der.Sequence):
         return der.Sequence([junk_in_replies(e) for e in value.elements])
-    if isinstance(value, der.ContextTagged) and value.explicit:
+    if isinstance(value, der.ContextTagged):
         inner = junk_in_replies(value.inner)
         if value.number == 2 and isinstance(inner, der.Sequence) \
                 and inner.elements and all(isinstance(r, der.OctetString)
@@ -105,9 +105,8 @@ def reference_validate_target(graph, target, at, cpr, revocation_config,
     return next((v for v in verdicts if v.is_valid), verdicts[0])
 
 
-_PRINTABLE_POOL = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                   "0123456789 '()+,-./:=?")
-_UTF8_POOL = _PRINTABLE_POOL + "äöüßéèñ€漢字🙂\n\t"
+_UTF8_POOL = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+              "0123456789 '()+,-./:=?äöüßéèñ€漢字🙂\n\t")
 
 
 def _random_time(rng: random.Random) -> datetime.datetime:
@@ -136,9 +135,8 @@ def _random_bitstring(rng: random.Random) -> der.BitString:
 def random_der_value(rng: random.Random, depth: int = 0) -> der.DerValue:
     """Random valid DerValue with nesting depth <= 6; Sets are generated in
     canonical element order so decode(encode(v)) == v holds."""
-    leaves = ("bool", "int", "octets", "bits", "oid", "utf8", "printable",
-              "time", "null")
-    kinds = leaves if depth >= 6 else leaves + ("seq", "set", "ctx", "ctxi")
+    leaves = ("bool", "int", "octets", "bits", "oid", "utf8", "time")
+    kinds = leaves if depth >= 6 else leaves + ("seq", "set", "ctx")
     kind = rng.choice(kinds)
     if kind == "bool":
         return der.Boolean(rng.random() < 0.5)
@@ -154,13 +152,8 @@ def random_der_value(rng: random.Random, depth: int = 0) -> der.DerValue:
     if kind == "utf8":
         return der.Utf8String("".join(
             rng.choice(_UTF8_POOL) for _ in range(rng.randint(0, 10))))
-    if kind == "printable":
-        return der.PrintableString("".join(
-            rng.choice(_PRINTABLE_POOL) for _ in range(rng.randint(0, 10))))
     if kind == "time":
         return der.GeneralizedTime(_random_time(rng))
-    if kind == "null":
-        return der.Null()
     if kind == "seq":
         return der.Sequence([random_der_value(rng, depth + 1)
                              for _ in range(rng.randint(0, 4))])
@@ -169,12 +162,8 @@ def random_der_value(rng: random.Random, depth: int = 0) -> der.DerValue:
                     for _ in range(rng.randint(0, 4))]
         children.sort(key=der.encode)
         return der.Set(children)
-    if kind == "ctx":
-        return der.ContextTagged(rng.randint(0, 30),
-                                 random_der_value(rng, depth + 1))
     return der.ContextTagged(rng.randint(0, 30),
-                             der.OctetString(rng.randbytes(rng.randint(0, 8))),
-                             explicit=False)
+                             random_der_value(rng, depth + 1))
 
 
 def random_cert_graph(rng: random.Random, max_nodes: int = 12,

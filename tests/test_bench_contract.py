@@ -53,13 +53,26 @@ def test_bench_selfcheck_passes():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_traced_bench_run_is_correct():
-    done = _run_bench("bench/run.py", "--workload", "mesh3-crl", "--seed", "1",
+def _traced_run(workload: str) -> dict:
+    """Per-layer metrics of a 1 s traced run, which must be correct."""
+    done = _run_bench("bench/run.py", "--workload", workload, "--seed", "1",
                       "--seconds", "1", "--trace", "1")
     assert done.returncode == 0, done.stdout + done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    return result["metrics"]
+
+
+def test_traced_bench_run_is_correct():
+    metrics = _traced_run("mesh3-crl")
     # the revoked target (1 in 4) fails on its last edge, which prunes
     # every other chain: about one full validation per target
-    per_target = result["metrics"]["validation.validate_path_calls_per_target"]
+    per_target = metrics["validation.validate_path_calls_per_target"]
     assert per_target["value"] <= 1.05, per_target
+
+
+def test_traced_online_bench_run_is_correct():
+    # check_online and /status run under the tracer; a status reply's echo
+    # is compared as received, not re-encoded
+    encodes = _traced_run("small-online")["der.encode_calls_per_dvc"]
+    assert encodes["value"] <= 12, encodes

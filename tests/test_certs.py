@@ -33,6 +33,7 @@ from savacert.certs import (
 )
 from savacert.der import (
     BitString,
+    ContextTagged,
     Integer,
     InvalidValue,
     Oid,
@@ -91,6 +92,19 @@ def test_noncanonical_certificate_rejected():
         parse_certificate(cert.der)
     with pytest.raises(StructureMismatch, match="canonical"):
         certificate_from_value(decode_exact(cert.der))
+
+
+@pytest.mark.parametrize("oid, inner, what", [
+    (oids.EXT_POLICY_CONSTRAINTS, Integer(0), "policyConstraints"),
+    (oids.EXT_NAME_CONSTRAINTS, Sequence([certs.name_value(ROOT_NAME)]),
+     "nameConstraints"),
+])
+def test_constraint_fields_out_of_order_rejected(oid, inner, what):
+    # [1] before [0] fails the field reader, before any re-encode comparison
+    body = encode(Sequence([ContextTagged(1, inner), ContextTagged(0, inner)]))
+    cert = make_cert(extensions=Extensions((Extension(oid, True, body),)))
+    with pytest.raises(StructureMismatch, match=f"bad {what}"):
+        parse_certificate(cert.der)
 
 
 def test_parsed_objects_never_encode_to_hash_or_verify(monkeypatch):

@@ -76,7 +76,7 @@ def test_key_file_roundtrip():
     data = crypto.encode_key(key)
     assert crypto.decode_key(data) == key
     with pytest.raises(crypto.MalformedKey):
-        crypto.decode_key(b"\x30\x02\x05\x00")
+        crypto.decode_key(b"\x30\x03\x02\x01\x05")  # SEQUENCE {INTEGER 5}
 
 
 def test_key_file_naming_another_algorithm_is_malformed():

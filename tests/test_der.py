@@ -16,8 +16,6 @@ from savacert.der import (
     InvalidValue,
     NonMinimalInteger,
     NonMinimalLength,
-    Null,
-    OctetString,
     Oid,
     Sequence,
     Set,
@@ -173,13 +171,29 @@ def test_explicit_tag_wraps_exactly_one_value():
         decode(doubled)
 
 
-def test_implicit_tag_carries_octets():
-    value = ContextTagged(5, OctetString(b"\x01\x02"), explicit=False)
-    data = encode(value)
-    assert data == bytes.fromhex("85020102")
-    assert decode_exact(data) == value
-    with pytest.raises(InvalidValue):
-        encode(ContextTagged(5, Integer(1), explicit=False))
+def test_sequence_of_matches_exact_shape():
+    value = Sequence([Integer(1), Boolean(True)])
+    assert der.sequence_of(value, Integer, Boolean) == value.elements
+    assert der.sequence_of(value, Integer) is None  # too few kinds
+    assert der.sequence_of(value, Integer, Boolean, Integer) is None
+    assert der.sequence_of(value, Boolean, Integer) is None  # order
+    assert der.sequence_of(Set([Integer(1)]), Integer) is None
+
+
+def test_tagged_fields_ascending_once_each():
+    a, b = ContextTagged(0, Integer(1)), ContextTagged(2, Integer(2))
+    assert der.tagged_fields([], (0, 2)) == {}
+    assert der.tagged_fields([a, b], (0, 2)) == {0: Integer(1), 2: Integer(2)}
+    assert der.tagged_fields([b, a], (0, 2)) is None  # out of order
+    assert der.tagged_fields([a, a], (0, 2)) is None  # repeated
+    assert der.tagged_fields([a, b], (0, 1)) is None  # number not allowed
+    assert der.tagged_fields([Integer(1)], (0,)) is None  # untagged
+
+
+def test_implicit_tag_is_rejected():
+    # the profile has explicit context tags only
+    with pytest.raises(UnknownTag):
+        decode_exact(bytes.fromhex("85020102"))
 
 
 def test_nesting_depth_capped():
@@ -203,11 +217,11 @@ def test_decoder_never_reads_past_declared_length():
         decode(data)
 
 
-def test_null_roundtrip():
-    assert encode(Null()) == b"\x05\x00"
-    assert decode_exact(b"\x05\x00") == Null()
-    with pytest.raises(DecodeError):
-        decode(b"\x05\x01\x00")
+def test_null_and_printable_string_are_rejected():
+    # no message uses them, so the profile leaves them out
+    for data in (b"\x05\x00", b"\x13\x02ab"):
+        with pytest.raises(UnknownTag):
+            decode_exact(data)
 
 
 @given(st.integers(min_value=-(1 << 200), max_value=1 << 200))
@@ -265,7 +279,7 @@ def _check_sequence_bytes(value, data: bytes, pos: int) -> int:
         checked += 1
     if isinstance(value, (Sequence, Set)):
         children = value.elements
-    elif isinstance(value, ContextTagged) and value.explicit:
+    elif isinstance(value, ContextTagged):
         children = (value.inner,)
     at = start
     for child in children:

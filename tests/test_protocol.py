@@ -2,7 +2,7 @@ import datetime
 
 import pytest
 
-from savacert import certs, crypto, oids, protocol
+from savacert import certs, client, crypto, oids, protocol
 from savacert.certs import fingerprint
 from savacert.der import (
     ContextTagged,
@@ -57,9 +57,9 @@ def test_request_roundtrip(happy):
     assert parsed == request
     assert protocol.encode_request(parsed) == raw
     assert parsed.supplied == (happy["sub"],)
-    assert parsed.info.want_backs() == frozenset(
+    assert parsed.want_backs == frozenset(
         {protocol.WantBack.CHAIN, protocol.WantBack.CRLS})
-    assert parsed.info.time_override() == NOW
+    assert parsed.time_override == NOW
     assert parsed.acceptable_set == (P1,)
     assert parsed.explicit_policy_required
 
@@ -91,13 +91,14 @@ def test_unstored_target_is_parsed(scenarios):
 def test_strict_cpr_uses_fields_weak_uses_extension(happy):
     strict = build([happy["ee"]], CprRequirement.strict((P1,)))
     assert strict.acceptable_set == (P1,)
-    assert strict.info.intended_usage() is None
+    assert strict.intended_usage is None
 
-    weak = build([happy["ee"]], CprRequirement.weak("e-mail"))
+    weak = protocol.parse_request(protocol.encode_request(
+        build([happy["ee"]], CprRequirement.weak("e-mail"))))
     assert weak.acceptable_set == ()
-    assert weak.info.intended_usage() == "e-mail"
-    ext = weak.info.extension(oids.REQ_INTENDED_USAGE)
-    assert ext is not None and ext.critical
+    assert weak.intended_usage == "e-mail"
+    (ext,) = weak.info.extensions
+    assert ext.oid == oids.REQ_INTENDED_USAGE and ext.critical
 
     blank = build([happy["ee"]])
     assert blank.acceptable_set == ()
@@ -255,6 +256,25 @@ def test_result_fields_in_tag_order_once_each(happy, server_identity,
                                               server_key, fields, complaint):
     # a DVC the server signed with repeated or reordered optional fields is
     # rejected, so no copy of a field can silently win
+    raw = _dvc_with_result_fields(happy, server_identity, server_key, fields)
+    with pytest.raises(protocol.ProtocolError, match=complaint):
+        protocol.parse_response(raw)
+
+
+def test_unknown_failure_reason_is_malformed(happy, server_identity,
+                                             server_key, tmp_path, capsys):
+    raw = _dvc_with_result_fields(happy, server_identity, server_key,
+                                  [ContextTagged(0, Integer(99))])
+    with pytest.raises(protocol.ProtocolError, match="unknown failure reason"):
+        protocol.parse_response(raw)
+    path = tmp_path / "dvc.der"
+    path.write_bytes(raw)
+    assert client.main(["inspect", str(path)]) == 1
+    assert "error: not a recognized" in capsys.readouterr().out
+
+
+def _dvc_with_result_fields(happy, server_identity, server_key, fields):
+    """A signed DVC whose one result ends with ``fields``."""
     request = build([happy["ee"]])
     result = protocol.TargetResult(fingerprint(happy["ee"]),
                                    VerdictStatus.INVALID)
@@ -263,10 +283,8 @@ def test_result_fields_in_tag_order_once_each(happy, server_identity,
     result_value = value.elements[4].elements[0]
     value = Sequence([*value.elements[:4], Sequence(
         [Sequence([*result_value.elements, *fields])])])
-    raw = protocol._signed_envelope(protocol._KIND_DVC, value,
-                                    server_identity.certificate, server_key)
-    with pytest.raises(protocol.ProtocolError, match=complaint):
-        protocol.parse_response(raw)
+    return protocol._signed_envelope(protocol._KIND_DVC, value,
+                                     server_identity.certificate, server_key)
 
 
 def test_junk_reply_entry_is_malformed(happy, server_identity, server_key):

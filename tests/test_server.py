@@ -15,7 +15,7 @@ import pytest
 from savacert import certs, crypto, oids, pathbuild, protocol, server as cvs
 from savacert.certs import Extension, Extensions, fingerprint
 from savacert.config import ConfigError
-from savacert.der import BitString, Oid, encode
+from savacert.der import BitString, Oid, encode, named_bits
 from savacert.policytree import CprRequirement
 from savacert.protocol import ErrorCode, ErrorNotice, WantBack
 from savacert.validation import FailureReason, VerdictStatus
@@ -125,6 +125,23 @@ def test_admission_unknown_critical_extension(happy_core, scenarios):
     response = send(happy_core, protocol.ValidationRequest(info, (ee,)))
     assert isinstance(response, ErrorNotice)
     assert response.code is ErrorCode.MALFORMED_REQUEST
+
+
+def test_repeated_request_extension_yields_signed_notice(happy_core,
+                                                        scenarios):
+    # wantBacks twice, CHAIN then CRLS: no copy may silently win
+    ee = scenarios.cert("happy3", "ee", "sub")
+    request = build([ee], want_backs={WantBack.CHAIN})
+    crls = protocol.RequestExtension(oids.REQ_WANT_BACKS, False,
+                                     encode(named_bits({WantBack.CRLS})))
+    request = dataclasses.replace(request, info=dataclasses.replace(
+        request.info, extensions=(*request.info.extensions, crls)))
+    with pytest.raises(protocol.ProtocolError, match="repeated"):
+        protocol.parse_request(protocol.encode_request(request))
+    notice = send(happy_core, request)
+    assert isinstance(notice, ErrorNotice)
+    assert notice.code is ErrorCode.MALFORMED_REQUEST
+    assert notice.signature is not None
 
 
 def test_malformed_body_yields_signed_notice(happy_core):
@@ -588,22 +605,6 @@ def test_http_malformed_body_is_inband_notice(scenarios, server_factory):
     assert notice.code is ErrorCode.MALFORMED_REQUEST
 
 
-def test_repository_reload_swaps_snapshot(tmp_path, server_identity,
-                                          scenarios):
-    repo = tmp_path / "live"
-    shutil.copytree(scenarios.layout("happy3").out_dir, repo)
-    core = make_core(tmp_path, server_identity, repo)
-    before = core.repository
-    shutil.copy(scenarios.layout("revoked-ee").crls["sub"],
-                repo / "crls" / "sub.crl")
-    core.reload_repository()
-    assert core.repository is not before
-    ee = scenarios.cert("happy3", "ee", "sub")
-    response = send(core, build([ee]))
-    assert response.info.results[0].status is VerdictStatus.INVALID
-    assert response.info.results[0].reason is FailureReason.REVOKED
-
-
 def test_transaction_log_line(happy_core, scenarios, caplog):
     ee = scenarios.cert("happy3", "ee", "sub")
     with caplog.at_level(logging.INFO, logger="savacert.server"):
@@ -696,9 +697,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ({"clock": ""}, [], "[server] clock: expected"),
     ({"clock": "2025"}, [], "[server] clock: malformed"),
     ({"clock": "20250231000000Z"}, [], "[server] clock: impossible"),
+    ({"policy_lines": ("oid = not.an.oid",)}, [], "policy default: oid"),
+    ({"policy_lines": ("oid = 1",)}, [], "policy default: oid"),
+    ({"policy_lines": ("usage e-mail = 1.2.x",)}, [],
+     "policy default: usage e-mail"),
+    ({"server_lines": ("name = bogus",)}, [], "[server] name"),
 ], ids=["length-0", "length-negative", "length-word", "skew-negative",
         "port-too-large", "cli-port-word", "clock-no-time", "clock-short-time",
-        "clock-impossible-time"])
+        "clock-impossible-time", "policy-oid-word", "policy-oid-one-arc",
+        "usage-oid-word", "server-name-bogus"])
 def test_bad_integer_settings_fail_at_load(tmp_path, server_identity,
                                            monkeypatch, capsys, settings,
                                            argv, where):
