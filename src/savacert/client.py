@@ -17,15 +17,14 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import crypto, protocol
+from . import config, crypto, protocol
 from .certs import (
     Name,
     StructureMismatch,
     parse_certificate,
     parse_crl,
 )
-from .config import ConfigError, parse_bool, parse_sections, split_list
-from .der import DerError, Oid, parse_time
+from .der import DerError, Oid
 from .policytree import CprRequirement
 from .protocol import DvcResponse, ErrorNotice, ResponseTrust, WantBack
 from .storage import Clock, parse_clock
@@ -96,68 +95,64 @@ class ClientProfile:
         return self.server_cert_check
 
 
+# [client] key -> reader; the path keys are relative to the profile file
+_PROFILE_KEYS = {
+    "server_url": config.parse_url,
+    "server_name": config.parse_name,
+    "acceptable_policies": config.parse_oids,
+    "explicit_policy_required": config.parse_bool,
+    "inhibit_policy_mapping": config.parse_bool,
+    "weak_usage": config.parse_text,
+    "request_policy": config.parse_oid,
+    "want": config.word_set(_WANT_WORDS),
+    "sign_request": config.parse_bool,
+    "key": config.parse_text,
+    "certificate": config.parse_text,
+    "trust_unsigned": config.parse_bool,
+    "server_cert_check": config.one_of("pinned", "online", "none"),
+    "pinned_fingerprint": config.parse_fingerprint,
+    "responder_certificate": config.parse_text,
+    "store_evidence": config.parse_text,
+    "supply": config.list_of(config.parse_text, ";"),
+    "thin": config.parse_bool,
+    "time_override": config.parse_timestamp,
+    "clock": parse_clock,
+}
+_PATH_KEYS = ("key", "certificate", "responder_certificate", "store_evidence")
+_PROFILE_FIELDS = {"want": "want_backs", "key": "key_path",
+                   "certificate": "cert_path",
+                   "responder_certificate": "responder_cert_path"}
+# validate's flags (argparse dest) -> profile key; a switch stores "true"
+_FLAG_KEYS = {
+    "server_url": "server_url", "server_name": "server_name",
+    "strict_policy": "acceptable_policies", "weak_usage": "weak_usage",
+    "explicit_policy": "explicit_policy_required",
+    "inhibit_mapping": "inhibit_policy_mapping",
+    "request_policy": "request_policy", "want": "want", "sign": "sign_request",
+    "key": "key", "certificate": "certificate", "thin": "thin",
+    "trust_unsigned": "trust_unsigned", "time_override": "time_override",
+    "server_cert_check": "server_cert_check",
+    "responder_certificate": "responder_certificate",
+    "store_evidence": "store_evidence",
+}
+
+
+def _assign(profile: ClientProfile, key: str, value, base: Path) -> None:
+    if key in _PATH_KEYS:
+        value = base / value
+    elif key == "supply":
+        value = tuple(base / path for path in value)
+    setattr(profile, _PROFILE_FIELDS.get(key, key), value)
+
+
 def parse_profile(text: str, base_dir: "Path | str" = ".") -> ClientProfile:
-    base = Path(base_dir)
     profile = ClientProfile()
-    sections = parse_sections(text)
-    for section in sections:
+    for section in config.parse_sections(text):
         if section.name != "client":
-            raise ConfigError(f"unknown section [{section.name}]")
-        for key, value in section.pairs():
-            if key == "server_url":
-                profile.server_url = value
-            elif key == "server_name":
-                profile.server_name = Name.from_string(value)
-            elif key == "acceptable_policies":
-                profile.acceptable_policies = tuple(
-                    Oid(p) for p in split_list(value))
-            elif key == "explicit_policy_required":
-                profile.explicit_policy_required = parse_bool(value, where=key)
-            elif key == "inhibit_policy_mapping":
-                profile.inhibit_policy_mapping = parse_bool(value, where=key)
-            elif key == "weak_usage":
-                profile.weak_usage = value
-            elif key == "request_policy":
-                profile.request_policy = Oid(value)
-            elif key == "want":
-                profile.want_backs = _parse_want(value)
-            elif key == "sign_request":
-                profile.sign_request = parse_bool(value, where=key)
-            elif key == "key":
-                profile.key_path = base / value
-            elif key == "certificate":
-                profile.cert_path = base / value
-            elif key == "trust_unsigned":
-                profile.trust_unsigned = parse_bool(value, where=key)
-            elif key == "server_cert_check":
-                profile.server_cert_check = value
-            elif key == "pinned_fingerprint":
-                profile.pinned_fingerprint = bytes.fromhex(value)
-            elif key == "responder_certificate":
-                profile.responder_cert_path = base / value
-            elif key == "store_evidence":
-                profile.store_evidence = base / value
-            elif key == "supply":
-                profile.supply = tuple(base / p.strip()
-                                       for p in value.split(";") if p.strip())
-            elif key == "thin":
-                profile.thin = parse_bool(value, where=key)
-            elif key == "time_override":
-                profile.time_override = parse_time(value)
-            elif key == "clock":
-                profile.clock = parse_clock(value, where=key)
-            else:
-                raise ConfigError(f"unknown profile key {key!r}")
+            raise config.ConfigError(f"unknown section [{section.name}]")
+        for key, value in config.read(section, _PROFILE_KEYS):
+            _assign(profile, key, value, Path(base_dir))
     return profile
-
-
-def _parse_want(value: str) -> frozenset:
-    words = split_list(value)
-    unknown = [w for w in words if w not in _WANT_WORDS]
-    if unknown:
-        raise ConfigError(f"unknown want-back {unknown[0]!r} "
-                          f"(choose from {sorted(_WANT_WORDS)})")
-    return frozenset(_WANT_WORDS[w] for w in words)
 
 
 def _post(url: str, body: bytes, content_type: str, timeout: float) -> bytes:
@@ -311,48 +306,21 @@ def inspect(path: "Path | str", out=None) -> int:
 
 
 def _apply_overrides(profile: ClientProfile, args) -> ClientProfile:
-    if args.server_url is not None:
-        profile.server_url = args.server_url
-    if args.server_name is not None:
-        profile.server_name = Name.from_string(args.server_name)
-    if args.strict_policy is not None:
-        profile.acceptable_policies = tuple(
-            Oid(p) for p in split_list(args.strict_policy))
-    if args.weak_usage is not None:
-        profile.weak_usage = args.weak_usage
-    if args.explicit_policy:
-        profile.explicit_policy_required = True
-    if args.inhibit_mapping:
-        profile.inhibit_policy_mapping = True
-    if args.request_policy is not None:
-        profile.request_policy = Oid(args.request_policy)
-    if args.want is not None:
-        profile.want_backs = _parse_want(args.want)
-    if args.sign:
-        profile.sign_request = True
-    if args.key is not None:
-        profile.key_path = args.key
-    if args.certificate is not None:
-        profile.cert_path = args.certificate
-    if args.trust_unsigned:
-        profile.trust_unsigned = True
-    if args.pin is not None:
+    if args.pin is not None:  # --pin also selects the pinned check
+        profile.pinned_fingerprint = config.parse_fingerprint(
+            args.pin, where="--pin")
         profile.server_cert_check = "pinned"
-        profile.pinned_fingerprint = bytes.fromhex(args.pin)
-    if args.server_cert_check is not None:
-        profile.server_cert_check = args.server_cert_check
-    if args.responder_certificate is not None:
-        profile.responder_cert_path = args.responder_certificate
-    if args.store_evidence is not None:
-        profile.store_evidence = args.store_evidence
-    if args.supply is not None:
-        profile.supply = tuple(Path(p) for p in split_list(args.supply))
-    if args.thin:
-        profile.thin = True
-    if args.time_override is not None:
-        profile.time_override = parse_time(args.time_override)
+    for dest, key in _FLAG_KEYS.items():
+        text = getattr(args, dest)
+        if text is not None:
+            flag = "--" + dest.replace("_", "-")
+            _assign(profile, key, _PROFILE_KEYS[key](text, where=flag), Path())
+    if args.supply is not None:  # comma-separated, not the profile's ';'
+        _assign(profile, "supply",
+                config.parse_list(args.supply, where="--supply"), Path())
     if args.clock_fixed is not None:
-        profile.clock = Clock(fixed=parse_time(args.clock_fixed))
+        profile.clock = Clock(fixed=config.parse_timestamp(
+            args.clock_fixed, where="--clock-fixed"))
     return profile
 
 
@@ -369,21 +337,21 @@ def main(argv: "list[str] | None" = None) -> int:
     val.add_argument("--strict-policy", metavar="OIDS",
                      help="comma-separated acceptable policy OIDs")
     val.add_argument("--weak-usage", metavar="USAGE")
-    val.add_argument("--explicit-policy", action="store_true")
-    val.add_argument("--inhibit-mapping", action="store_true")
+    val.add_argument("--explicit-policy", action="store_const", const="true")
+    val.add_argument("--inhibit-mapping", action="store_const", const="true")
     val.add_argument("--request-policy", metavar="OID")
     val.add_argument("--want", metavar="LIST",
                      help="comma-separated from chain,crls,replies,time")
-    val.add_argument("--sign", action="store_true")
-    val.add_argument("--key", type=Path)
-    val.add_argument("--certificate", type=Path)
-    val.add_argument("--trust-unsigned", action="store_true")
+    val.add_argument("--sign", action="store_const", const="true")
+    val.add_argument("--key")
+    val.add_argument("--certificate")
+    val.add_argument("--trust-unsigned", action="store_const", const="true")
     val.add_argument("--pin", metavar="HEXFP")
     val.add_argument("--server-cert-check", choices=("pinned", "online", "none"))
-    val.add_argument("--responder-certificate", type=Path)
-    val.add_argument("--store-evidence", type=Path)
+    val.add_argument("--responder-certificate")
+    val.add_argument("--store-evidence")
     val.add_argument("--supply", metavar="PATHS")
-    val.add_argument("--thin", action="store_true")
+    val.add_argument("--thin", action="store_const", const="true")
     val.add_argument("--time-override", metavar="TIME")
     val.add_argument("--clock-fixed", metavar="TIME")
 
@@ -398,7 +366,8 @@ def main(argv: "list[str] | None" = None) -> int:
                    if args.profile else ClientProfile())
         profile = _apply_overrides(profile, args)
         return validate(profile, args.targets)
-    except (ConfigError, ProfileError, DerError, ValueError, OSError) as exc:
+    except (config.ConfigError, ProfileError, DerError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

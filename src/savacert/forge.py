@@ -12,9 +12,10 @@ import argparse
 import datetime
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from . import crypto, oids
+from . import config, crypto, oids
 from .certs import (
     BasicConstraints,
     Certificate,
@@ -32,8 +33,7 @@ from .certs import (
     sign_certificate,
     sign_crl,
 )
-from .config import ConfigError, parse_sections, split_list
-from .der import Oid, parse_time
+from .der import Oid
 
 EPOCH = datetime.datetime(2025, 1, 1, tzinfo=datetime.timezone.utc)
 CA_LIFETIME = 10  # years
@@ -54,7 +54,7 @@ _REASONS = {
 }
 
 
-class SpecError(Exception):
+class SpecError(config.ConfigError):
     pass
 
 
@@ -104,68 +104,58 @@ class RepositoryLayout:
         return self.certs[(subject, issuer)]
 
 
+def _parse_mapping(text: str, *, where: str) -> PolicyMapping:
+    left, sep, right = text.partition("->")
+    if not sep:
+        raise config.ConfigError(f"{where}: expected 'oid -> oid'")
+    return PolicyMapping(config.parse_oid(left.strip(), where=where),
+                         config.parse_oid(right.strip(), where=where))
+
+
+_PKI_KEYS = {"seed": config.parse_int}  # it only names keys: any integer
+_ENTITY_KEYS = {
+    "kind": config.one_of(*_KINDS),
+    "name": config.parse_name,
+    "policies": config.parse_oids,
+    "map": _parse_mapping,  # repeatable
+    "require_explicit_policy": partial(config.parse_int, low=0),
+    "inhibit_policy_mapping": partial(config.parse_int, low=0),
+    "pathlen": partial(config.parse_int, low=0),
+    "permitted": config.list_of(config.parse_name, ";"),
+    "excluded": config.list_of(config.parse_name, ";"),
+    "not_before": config.parse_timestamp,
+    "not_after": config.parse_timestamp,
+    "usages": config.parse_list,
+    "anchor": config.parse_bool,
+}
+
+
 def _parse_entity(section) -> EntitySpec:
     label = section.arg
     if not label or " " in label:
         raise SpecError(f"line {section.lineno}: entity needs a one-word label")
-    kind = section.get("kind")
-    if kind not in _KINDS:
+    fields: dict = {"mappings": ()}
+    for key, value in config.read(section, _ENTITY_KEYS, f"entity {label}: "):
+        if key == "map":
+            fields["mappings"] += (value,)
+        else:
+            fields["path_len" if key == "pathlen" else key] = value
+    if "kind" not in fields:
         raise SpecError(f"entity {label}: kind must be one of {_KINDS}")
-    name_text = section.get("name")
-    try:
-        name = Name.from_string(name_text) if name_text \
-            else Name(((oids.AT_ORGANIZATION, "Test PKI"),
-                       (oids.AT_COMMON_NAME, label)))
-    except ValueError as exc:
-        raise SpecError(f"entity {label}: {exc}") from exc
-    mappings = []
-    for line in section.get_all("map"):
-        left, sep, right = line.partition("->")
-        if not sep:
-            raise SpecError(f"entity {label}: map needs 'oid -> oid'")
-        mappings.append(PolicyMapping(Oid(left.strip()), Oid(right.strip())))
-
-    def _names(key: str) -> tuple[Name, ...]:
-        value = section.get(key)
-        if not value:
-            return ()
-        return tuple(Name.from_string(part) for part in value.split(";"))
-
-    def _int(key: str) -> int | None:
-        value = section.get(key)
-        return int(value) if value is not None else None
-
-    def _time(key: str) -> datetime.datetime | None:
-        value = section.get(key)
-        return parse_time(value) if value is not None else None
-
-    anchor = section.get("anchor", "true")
-    return EntitySpec(
-        label=label, kind=kind, name=name,
-        policies=tuple(Oid(p) for p in split_list(section.get("policies", ""))),
-        mappings=tuple(mappings),
-        require_explicit_policy=_int("require_explicit_policy"),
-        inhibit_policy_mapping=_int("inhibit_policy_mapping"),
-        path_len=_int("pathlen"),
-        permitted=_names("permitted"), excluded=_names("excluded"),
-        not_before=_time("not_before"), not_after=_time("not_after"),
-        usages=tuple(split_list(section.get("usages", ""))),
-        anchor=anchor.strip().lower() in ("true", "yes", "1"),
-    )
+    fields.setdefault("name", Name(((oids.AT_ORGANIZATION, "Test PKI"),
+                                    (oids.AT_COMMON_NAME, label))))
+    return EntitySpec(label=label, **fields)
 
 
 def parse_topology(text: str) -> TopologySpec:
-    try:
-        sections = parse_sections(text)
-    except ConfigError as exc:
-        raise SpecError(str(exc)) from exc
     seed = 0
     entities: dict[str, EntitySpec] = {}
     edges: list[tuple[str, str]] = []
     revocations = []
-    for section in sections:
+    for section in config.parse_sections(text):
         if section.name == "pki":
-            seed = int(section.get("seed", "0"))
+            seed = dict(config.read(section, _PKI_KEYS, "[pki] ")).get(
+                "seed", seed)
         elif section.name == "entity":
             entity = _parse_entity(section)
             if entity.label in entities:
@@ -186,8 +176,9 @@ def parse_topology(text: str) -> TopologySpec:
                 issuer, subject, when, reason = parts
                 if reason not in _REASONS:
                     raise SpecError(f"line {lineno}: unknown reason {reason!r}")
-                revocations.append((issuer, subject, parse_time(when),
-                                    _REASONS[reason]))
+                revocations.append((issuer, subject, config.parse_timestamp(
+                    when, where=f"[revocations] line {lineno}: time"),
+                    _REASONS[reason]))
         else:
             raise SpecError(f"line {section.lineno}: unknown section "
                             f"[{section.name}]")
@@ -513,7 +504,7 @@ def main(argv: "list[str] | None" = None) -> int:
         else:
             for name, entry in SCENARIOS.items():
                 print(f"{name:26} {entry.description}")
-    except (SpecError, UnknownScenario, OSError) as exc:
+    except (config.ConfigError, UnknownScenario, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

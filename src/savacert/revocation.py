@@ -216,13 +216,13 @@ def check_online(cert: Certificate, responder_url: str,
                  nonce: int | None = None, timeout: float = 10.0) -> CertStatus:
     """Ask the online responder for the certificate's status."""
     query_der, _ = build_status_query(cert.issuer, cert.serial, nonce)
-    request = urllib.request.Request(
-        responder_url, data=query_der, method="POST",
-        headers={"Content-Type": STATUS_CONTENT_TYPE})
-    try:
+    try:  # Request raises ValueError for a URL it cannot use
+        request = urllib.request.Request(
+            responder_url, data=query_der, method="POST",
+            headers={"Content-Type": STATUS_CONTENT_TYPE})
         with urllib.request.urlopen(request, timeout=timeout) as response:
             body = response.read()
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
+    except (urllib.error.URLError, OSError, TimeoutError, ValueError) as exc:
         raise Transport(f"status query to {responder_url} failed: {exc}") from exc
     try:
         return verify_status_reply(body, query_der, responder_cert)

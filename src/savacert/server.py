@@ -18,19 +18,16 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from . import crypto, der, protocol, revocation
 from .certs import Name, StructureMismatch, parse_certificate
-from .config import (
-    ConfigError,
-    parse_bool,
-    parse_int,
-    parse_sections,
-    split_list,
-)
-from .der import DerError, Oid, parse_time
+from .config import (ConfigError, one_of, parse_bool, parse_int, parse_list,
+                     parse_name, parse_oid, parse_oids, parse_sections,
+                     parse_text, parse_timestamp, parse_url, read, word_set)
+from .der import DerError, Oid
 from .policytree import CprRequirement, UnknownUsage, resolve_weak
 from .protocol import (
     DvcInfo,
@@ -98,69 +95,65 @@ class ServerConfig:
         raise ConfigError("no default validation policy")
 
 
-def _parse_oid(text: str, *, where: str) -> Oid:
-    try:
-        oid = Oid(text)
-        der.encode(oid)  # arcs out of range or too few
-    except (ValueError, der.InvalidValue):
-        raise ConfigError(f"{where}: not an OID: {text!r}") from None
-    return oid
+def parse_listen(text: str, *, where: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    return (host or "127.0.0.1",
+            parse_int(port, where=f"{where} port", low=0, high=65535))
+
+
+# [server] key -> reader; the path keys are relative to the config file
+_SERVER_KEYS = {
+    "name": parse_name, "listen": parse_listen, "clock": parse_clock,
+    "key": parse_text, "certificate": parse_text, "repository": parse_text,
+    "serial_state": parse_text, "responder_certificate": parse_text,
+    "status_responder": parse_bool, "responder_url": parse_url,
+}
+_SERVER_PATHS = ("key", "certificate", "repository", "serial_state",
+                 "responder_certificate")
+_SERVER_FIELDS = {"key": "key_path", "certificate": "cert_path",
+                  "responder_certificate": "responder_cert_path"}
+
+_POLICY_KEYS = {
+    "oid": parse_oid,
+    "anchors": parse_list,
+    "revocation": one_of(*REVOCATION_REGIMES),
+    "max_chain_length": partial(parse_int, low=1),
+    "clock_skew": partial(parse_int, low=0),
+    "require_signed_requests": parse_bool,
+    "allow_supplied_chains": parse_bool,
+    "want_backs": word_set(_WANT_BACK_NAMES),
+    "default": parse_bool,
+    "usage": parse_oids,  # usage <name> = <policy OIDs>
+}
+_POLICY_FIELDS = {"anchors": "anchor_labels", "default": "is_default",
+                  "want_backs": "default_want_backs"}
 
 
 def _parse_policy(section) -> ValidationPolicy:
     label = section.arg or "default"
-    oid_text = section.get("oid")
-    if not oid_text:
+    fields: dict = {"usage_table": {}}
+    for key, value in read(section, _POLICY_KEYS, f"policy {label}: "):
+        if key.partition(" ")[0] != "usage":
+            fields[_POLICY_FIELDS.get(key, key)] = value
+            continue
+        usage = key[len("usage"):].strip()
+        if not usage or not value:
+            raise ConfigError(f"policy {label}: usage entries need a name "
+                              f"and a non-empty policy set")
+        fields["usage_table"][usage] = value
+    if "oid" not in fields:
         raise ConfigError(f"policy {label}: missing oid")
-    usage_table = {}
-    for key, value in section.pairs():
-        if key.startswith("usage "):
-            usage = key[len("usage "):].strip()
-            policies = tuple(_parse_oid(p, where=f"policy {label}: {key}")
-                             for p in split_list(value))
-            if not usage or not policies:
-                raise ConfigError(
-                    f"policy {label}: usage entries need a name and a "
-                    f"non-empty policy set")
-            usage_table[usage] = policies
-    wants = split_list(section.get("want_backs", ""))
-    unknown_wants = [w for w in wants if w not in _WANT_BACK_NAMES]
-    if unknown_wants:
-        raise ConfigError(f"policy {label}: unknown want-back "
-                          f"{unknown_wants[0]!r}")
-    revocation_mode = section.get("revocation", "crl")
-    if revocation_mode not in REVOCATION_REGIMES:
-        raise ConfigError(f"policy {label}: bad revocation {revocation_mode!r}")
-    return ValidationPolicy(
-        oid=_parse_oid(oid_text, where=f"policy {label}: oid"), label=label,
-        anchor_labels=tuple(split_list(section.get("anchors", "*"))) or ("*",),
-        revocation=revocation_mode,
-        max_chain_length=parse_int(section.get("max_chain_length", "8"),
-                                   where=f"policy {label}: max_chain_length",
-                                   low=1),
-        clock_skew=parse_int(section.get("clock_skew", "300"),
-                             where=f"policy {label}: clock_skew", low=0),
-        require_signed_requests=parse_bool(
-            section.get("require_signed_requests", "false"),
-            where=f"policy {label}"),
-        allow_supplied_chains=parse_bool(
-            section.get("allow_supplied_chains", "true"),
-            where=f"policy {label}"),
-        default_want_backs=frozenset(_WANT_BACK_NAMES[w] for w in wants),
-        usage_table=usage_table,
-        is_default=parse_bool(section.get("default", "false"),
-                              where=f"policy {label}"),
-    )
+    fields["anchor_labels"] = fields.get("anchor_labels") or ("*",)
+    return ValidationPolicy(label=label, **fields)
 
 
 def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig:
     base = Path(base_dir)
-    sections = parse_sections(text)
-    server_section = None
+    settings = None
     policies: dict = {}
-    for section in sections:
+    for section in parse_sections(text):
         if section.name == "server":
-            server_section = section
+            settings = dict(read(section, _SERVER_KEYS, "[server] "))
         elif section.name == "policy":
             policy = _parse_policy(section)
             if policy.oid in policies:
@@ -168,52 +161,23 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
             policies[policy.oid] = policy
         else:
             raise ConfigError(f"unknown section [{section.name}]")
-    if server_section is None:
+    if settings is None:
         raise ConfigError("missing [server] section")
     if not policies:
         raise ConfigError("at least one [policy] section is required")
     defaults = [p for p in policies.values() if p.is_default]
     if len(defaults) != 1:
         raise ConfigError("exactly one policy must set default = true")
-
-    name_text = server_section.get("name")
-    if not name_text:
+    if "name" not in settings:
         raise ConfigError("[server] needs a name")
-
-    def _path(key: str, default: str | None = None) -> Path | None:
-        value = server_section.get(key, default)
-        return (base / value) if value is not None else None
-
-    key_path = _path("key")
-    cert_path = _path("certificate")
-    repository = _path("repository")
-    if key_path is None or cert_path is None or repository is None:
+    if not {"key", "certificate", "repository"} <= settings.keys():
         raise ConfigError("[server] needs key, certificate and repository")
-    responder_cert = _path("responder_certificate")
-    try:
-        name = Name.from_string(name_text)
-    except ValueError as exc:
-        raise ConfigError(f"[server] name: {exc}") from None
-    return ServerConfig(
-        name=name,
-        key_path=key_path, cert_path=cert_path, repository=repository,
-        serial_state=_path("serial_state", "serial.state"),
-        listen=parse_listen(server_section.get("listen", "127.0.0.1:0"),
-                            where="[server] listen"),
-        clock=parse_clock(server_section.get("clock", "system"),
-                          where="[server] clock"),
-        status_responder=parse_bool(
-            server_section.get("status_responder", "true"), where="[server]"),
-        responder_url=server_section.get("responder_url"),
-        responder_cert_path=responder_cert,
-        policies=policies,
-    )
-
-
-def parse_listen(text: str, *, where: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return (host or "127.0.0.1",
-            parse_int(port, where=f"{where} port", low=0, high=65535))
+    settings.setdefault("serial_state", "serial.state")
+    for key in _SERVER_PATHS:
+        if key in settings:
+            settings[key] = base / settings[key]
+    return ServerConfig(policies=policies, **{_SERVER_FIELDS.get(k, k): v
+                                              for k, v in settings.items()})
 
 
 def load_server_config(path: "Path | str") -> ServerConfig:
@@ -594,7 +558,8 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.listen is not None:
             config.listen = parse_listen(args.listen, where="--listen")
         if args.clock_fixed is not None:
-            config.clock = Clock(fixed=parse_time(args.clock_fixed))
+            config.clock = Clock(fixed=parse_timestamp(args.clock_fixed,
+                                                        where="--clock-fixed"))
         if args.repository is not None:
             config.repository = args.repository
         return serve(config)

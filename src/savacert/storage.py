@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .certs import Crl, Name, parse_certificate, parse_crl
-from .config import ConfigError
-from .der import DerError, parse_time
+from .config import ConfigError, parse_timestamp
 from .pathbuild import CertGraph
 from .revocation import issuer_digest
 
@@ -125,9 +124,6 @@ def parse_clock(value: str, *, where: str) -> Clock:
     if words == ["system"]:
         return Clock()
     if len(words) == 2 and words[0] == "fixed":
-        try:
-            return Clock(fixed=parse_time(words[1].strip()))
-        except DerError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        return Clock(fixed=parse_timestamp(words[1].strip(), where=where))
     raise ConfigError(f"{where}: expected 'system' or 'fixed <time>', "
                       f"got {value!r}")

@@ -636,3 +636,90 @@ def test_cli_empty_time_is_an_error(scenarios, monkeypatch, capsys, flag):
     assert rp.main(["validate", flag, "", str(target)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert posted == []
+
+
+@pytest.mark.parametrize("line, where", [
+    ("explicit_policy_requried = true",
+     "unknown key 'explicit_policy_requried'"),
+    ("thin = ture", "thin: "),
+    ("server_name = bogus", "server_name: "),
+    ("request_policy = not.an.oid", "request_policy: "),
+    ("acceptable_policies = 1.2.3, 1.2.x", "acceptable_policies: "),
+    ("pinned_fingerprint = zz", "pinned_fingerprint: "),
+    ("server_url = not-a-url", "server_url: "),
+    ("server_cert_check = sometimes", "server_cert_check: "),
+    ("time_override = 2025", "time_override: "),
+    ("want = chain, onlineReplies", "want: "),
+], ids=["key", "bool", "name", "oid", "oid-list", "fingerprint", "url",
+        "one-of", "time", "word-set"])
+def test_bad_profile_settings_fail_naming_the_key(tmp_path, capsys, line,
+                                                  where):
+    with pytest.raises(ConfigError) as raised:
+        rp.parse_profile(f"[client]\n{line}\n", tmp_path)
+    assert str(raised.value).startswith(where)
+    profile_path = tmp_path / "profile.cfg"
+    profile_path.write_text(f"[client]\n{line}\n")
+    assert rp.main(["validate", "--profile", str(profile_path), "t.der"]) == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--server-name", "bogus"], ["--pin", "zz"],
+    ["--request-policy", "not.an.oid"], ["--strict-policy", "1.2.x"],
+    ["--server-url", "not-a-url"], ["--want", "chain,nonsense"],
+    ["--time-override", "2025"], ["--clock-fixed", "2025"]],
+    ids=lambda argv: argv[0])
+def test_bad_flag_values_fail_naming_the_flag(monkeypatch, capsys, argv):
+    posted = []
+    monkeypatch.setattr(rp, "_post", lambda *args: posted.append(args))
+    assert rp.main(["validate", *argv, "t.der"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
+    assert posted == []
+
+
+def test_flags_load_the_profile_their_keys_load(tmp_path, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(rp, "validate",
+                        lambda profile, targets: loaded.append(profile) or 0)
+    pin = "ab" * 32
+    profile_path = tmp_path / "profile.cfg"
+    profile_path.write_text(f"""
+[client]
+server_url = http://127.0.0.1:1
+server_name = {SERVER_NAME}
+acceptable_policies = 1.2.3, 1.2.4
+explicit_policy_required = true
+inhibit_policy_mapping = true
+weak_usage = e-mail
+request_policy = 1.2.5
+want = chain, time
+sign_request = true
+key = {tmp_path}/client.key
+certificate = {tmp_path}/client.der
+trust_unsigned = true
+pinned_fingerprint = {pin}
+server_cert_check = online
+responder_certificate = {tmp_path}/cvs.der
+store_evidence = {tmp_path}/evidence
+supply = {tmp_path}/a.der ; {tmp_path}/b.der
+thin = true
+time_override = {NOW_TEXT}
+clock = fixed {NOW_TEXT}
+""")
+    assert rp.main(["validate", "--profile", str(profile_path), "t.der"]) == 0
+    assert rp.main([
+        "validate", "--server-url", "http://127.0.0.1:1",
+        "--server-name", SERVER_NAME, "--strict-policy", "1.2.3,1.2.4",
+        "--explicit-policy", "--inhibit-mapping", "--weak-usage", "e-mail",
+        "--request-policy", "1.2.5", "--want", "chain,time", "--sign",
+        "--key", f"{tmp_path}/client.key",
+        "--certificate", f"{tmp_path}/client.der", "--trust-unsigned",
+        "--pin", pin, "--server-cert-check", "online",
+        "--responder-certificate", f"{tmp_path}/cvs.der",
+        "--store-evidence", f"{tmp_path}/evidence",
+        "--supply", f"{tmp_path}/a.der,{tmp_path}/b.der", "--thin",
+        "--time-override", NOW_TEXT, "--clock-fixed", NOW_TEXT,
+        "t.der"]) == 0
+    assert loaded[0] == loaded[1]
+    assert loaded[0].supply[1].name == "b.der" and loaded[0].thin

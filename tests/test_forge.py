@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from savacert import crypto, forge
+from savacert.config import ConfigError
 from savacert.certs import (
     check_signature,
     parse_certificate,
@@ -197,3 +198,54 @@ def test_cli(tmp_path, capsys):
     assert "happy3" in out and "cycle" in out
     assert forge.main(["scenario", "--name", "nope",
                        "--out", str(tmp_path / "x")]) == 1
+
+
+def test_repeated_map_lines_keep_every_mapping_in_order(tmp_path):
+    spec = forge.parse_topology(f"""
+[entity root]
+kind = rootCa
+[entity sub]
+kind = subCa
+map = {forge.POLICY_HIGH} -> {forge.POLICY_MAPPED}
+map = {forge.POLICY_MAIL} -> {forge.POLICY_ALT}
+[edges]
+root -> sub
+""")
+    layout = forge.forge(spec, tmp_path)
+    sub = parse_certificate(layout.cert_path("sub", "root").read_bytes())
+    assert [(m.issuer_domain, m.subject_domain)
+            for m in sub.extensions.policy_mappings] == [
+        (forge.POLICY_HIGH, forge.POLICY_MAPPED),
+        (forge.POLICY_MAIL, forge.POLICY_ALT)]
+
+
+@pytest.mark.parametrize("spec, where", [
+    ("[pki]\nsed = 1\n", "[pki] unknown key 'sed'"),
+    ("[entity a]\nkind = rootCa\nanchr = false\n",
+     "entity a: unknown key 'anchr'"),
+    ("[entity a]\nkind = rootCa\nanchor = ture\n", "entity a: anchor: "),
+    ("[entity a]\nkind = root\n", "entity a: kind: "),
+    ("[entity a]\nkind = rootCa\npathlen = x\n", "entity a: pathlen: "),
+    ("[entity a]\nkind = rootCa\nname = bogus\n", "entity a: name: "),
+    ("[entity a]\nkind = rootCa\npolicies = 1.2.x\n", "entity a: policies: "),
+    ("[entity a]\nkind = rootCa\nmap = 1.2.3 -> 1\n", "entity a: map: "),
+    ("[entity a]\nkind = rootCa\nnot_after = 2025\n",
+     "entity a: not_after: "),
+    ("[pki]\nseed = x\n", "[pki] seed: "),
+    ("[entity a]\nkind = rootCa\n[revocations]\na a 2025 keyCompromise\n",
+     "[revocations] line 4: time: "),
+], ids=["pki-key", "entity-key", "anchor-ture", "kind", "pathlen", "name",
+        "policies", "map", "time", "seed", "revocation-time"])
+def test_bad_spec_settings_fail_naming_the_key(tmp_path, capsys, spec, where):
+    with pytest.raises(ConfigError) as raised:
+        forge.parse_topology(spec)
+    assert str(raised.value).startswith(where)
+    path = tmp_path / "bad.spec"
+    path.write_text(spec)
+    assert forge.main(["build", "--spec", str(path),
+                       "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+def test_seed_is_any_integer():
+    assert forge.parse_topology("[pki]\nseed = -7\n").seed == -7

@@ -223,6 +223,13 @@ def test_check_online_transport_error(scenarios, server_identity):
                      server_identity.certificate, timeout=0.5)
 
 
+def test_check_online_unusable_url_is_transport_error(scenarios,
+                                                      server_identity):
+    ee = scenarios.cert("happy3", "ee", "sub")
+    with pytest.raises(Transport, match="not-a-url"):
+        check_online(ee, "not-a-url", server_identity.certificate)
+
+
 def test_crl_and_online_agree_per_scenario(scenarios, server_factory):
     for name in ("happy3", "revoked-ee", "revoked-intermediate"):
         layout = scenarios.layout(name)

@@ -720,6 +720,37 @@ def test_bad_integer_settings_fail_at_load(tmp_path, server_identity,
     assert f"error: {where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings, where", [
+    ({"server_lines": ("lsiten = 127.0.0.1:8450",)},
+     "[server] unknown key 'lsiten'"),
+    ({"policy_lines": ("require_signed_request = true",)},
+     "policy default: unknown key 'require_signed_request'"),
+    ({"policy_lines": ("revocaton = online",)},
+     "policy default: unknown key 'revocaton'"),
+    ({"policy_lines": ("require_signed_requests = ture",)},
+     "policy default: require_signed_requests: "),
+    ({"server_lines": ("status_responder = maybe",)},
+     "[server] status_responder: "),
+    ({"responder_url": "not-a-url"}, "[server] responder_url: "),
+    ({"revocation": "sometimes"}, "policy default: revocation: "),
+    ({"policy_lines": ("want_backs = chain, replies",)},
+     "policy default: want_backs: "),
+], ids=["server-key", "policy-key-signed", "policy-key-revocation",
+        "policy-bool", "server-bool", "responder-url", "revocation",
+        "want-backs"])
+def test_misspelt_keys_and_bad_values_fail_at_load(
+        tmp_path, server_identity, monkeypatch, capsys, settings, where):
+    config = tmp_path / "server.cfg"
+    config.write_text(make_server_config(tmp_path, tmp_path, server_identity,
+                                         **settings))
+    with pytest.raises(ConfigError) as raised:
+        cvs.load_server_config(config)
+    assert str(raised.value).startswith(where)
+    monkeypatch.setattr(cvs, "serve", lambda config: 0)
+    assert cvs.main(["--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
 @pytest.mark.parametrize("flag", ["--clock-fixed", "--listen"])
 def test_cli_empty_value_is_an_error(tmp_path, server_identity, monkeypatch,
                                      capsys, flag):
