@@ -85,7 +85,9 @@ def chains(graph: CertGraph, target: Certificate, max_length: int = 8,
     certificates, walked lazily from the target up through issuers one
     length at a time (RFC 4158 section 3) and ordered by length, member
     fingerprints (anchor side first), then anchor fingerprint.  No edge
-    that ``edge_ok(issuer, subject, is_target)`` rejects is walked."""
+    that ``edge_ok(issuer, subject, is_target)`` rejects is walked, and no
+    partial chain that cannot reach an anchor within ``max_length`` is
+    extended (RFC 4158 section 5)."""
     if max_length < 1:
         raise ValueError("max_length must be positive")
     target_fp = fingerprint(target)
@@ -93,8 +95,9 @@ def chains(graph: CertGraph, target: Certificate, max_length: int = 8,
         raise TargetNotInGraph(target_fp.hex())
 
     ok = edge_ok or (lambda issuer, subject, is_target: True)
+    steps = _steps_to_anchor(graph, target_fp, max_length)
     # partial chains of one length, each with its fingerprints
-    partial = [((target_fp,), (target,))]
+    partial = [((target_fp,), (target,))] if target_fp in steps else []
     while partial:
         found = []
         for fps, chain in partial:
@@ -106,10 +109,35 @@ def chains(graph: CertGraph, target: Certificate, max_length: int = 8,
         found.sort(key=lambda item: item[0])
         yield from (chain for _, chain in found)
         partial = [((fp, *fps), (graph.nodes[fp], *chain))
-                   for fps, chain in partial if len(fps) < max_length
+                   for fps, chain in partial
                    for fp in graph.by_subject.get(chain[0].issuer, ())
-                   if fp not in graph.anchor_fps and fp not in fps
+                   if fp in steps and len(fps) + steps[fp] <= max_length
+                   and fp not in fps
                    and ok(graph.nodes[fp], chain[0], len(chain) == 1)]
+
+
+def _steps_to_anchor(graph: CertGraph, target_fp: bytes,
+                     max_length: int) -> dict:
+    """For each certificate the walk from the target can reach, the fewest
+    chain members from it, itself included, up to one an anchor issued.
+    Anchors, which the walk never adds, and certificates that need more than
+    ``max_length`` are left out: a chain through them is a dead end."""
+    issuers, todo = {}, [target_fp]
+    while todo:
+        fp = todo.pop()
+        if fp not in issuers:
+            issuers[fp] = [up for up in graph.by_subject.get(
+                graph.nodes[fp].issuer, ()) if up not in graph.anchor_fps]
+            todo.extend(issuers[fp])
+    steps = {fp: 1 for fp in issuers
+             if graph.nodes[fp].issuer in graph.anchors_by_subject}
+    for n in range(2, max_length + 1):
+        farther = {fp: n for fp, ups in issuers.items()
+                  if fp not in steps and any(up in steps for up in ups)}
+        if not farther:
+            break
+        steps |= farther
+    return steps
 
 
 def discover(graph: CertGraph, target: Certificate,

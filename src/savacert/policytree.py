@@ -1,16 +1,22 @@
-"""Valid-policy-tree processing across a certification chain.
+"""Certificate-policy processing across a certification chain, on the
+valid-policy graph of RFC 9618.
 
-Maintains the depth-indexed tree of valid policies, applies policy mappings
-under the mapping counter, folds in per-certificate policy constraints, and
-evaluates the client's certificate-policy requirement: *strict* carries an
-acceptable policy set plus the explicit-policy / inhibit-mapping flags,
-*weak* carries an intended-usage string the server resolves through its
-configured usage table.  Blank strict fields mean any policy is acceptable.
+Every copy of one policy at one depth of RFC 5280's valid_policy_tree has
+the same expected set and children, so the tree is kept as a graph: one
+node per policy per depth, linked to each parent policy one depth up.  The
+verdicts are the tree's, but the work per certificate grows with the
+policies it asserts and maps, not with the tree's paths, which mappings can
+multiply at every depth.  The module applies policy mappings under the
+mapping counter, folds in per-certificate policy constraints, and evaluates
+the client's certificate-policy requirement: *strict* carries an acceptable
+policy set plus the explicit-policy / inhibit-mapping flags, *weak* carries
+an intended-usage string the server resolves through its configured usage
+table.  Blank strict fields mean any policy is acceptable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import oids
 from .certs import Certificate
@@ -55,38 +61,17 @@ class CprRequirement:
         return cls("weak", (), False, False, usage)
 
 
-class Node:
-    """One valid-policy node; the root carries anyPolicy at depth 0."""
-
-    __slots__ = ("valid_policy", "expected", "children")
-
-    def __init__(self, valid_policy: Oid, expected, children=()):
-        self.valid_policy = valid_policy
-        self.expected = frozenset(expected)
-        self.children = list(children)
-
-    def clone(self) -> "Node":
-        return Node(self.valid_policy, self.expected,
-                    [c.clone() for c in self.children])
-
-    def at_depth(self, depth: int) -> list["Node"]:
-        if depth == 0:
-            return [self]
-        out = []
-        for child in self.children:
-            out.extend(child.at_depth(depth - 1))
-        return out
-
-
 @dataclass
 class PolicyState:
-    """Value threaded across the chain fold; never mutated in place."""
+    """Value threaded across the chain fold; never mutated in place.
+    ``tree`` is the valid-policy graph, one dict per depth from the root at
+    depth 0: ``{valid policy: (expected policy set, parent policies one
+    depth up)}``, or None when the tree is NULL."""
 
-    tree: Node | None
+    tree: tuple[dict, ...] | None
     explicit_policy: int
     policy_mapping: int
     depth: int
-    chain_length: int
     mappings_applied: tuple[tuple[Oid, Oid], ...] = ()
 
 
@@ -97,6 +82,10 @@ class PolicyOutcome:
     mappings_applied: tuple[tuple[Oid, Oid], ...]
 
 
+def _sorted(oids) -> list[Oid]:
+    return sorted(oids, key=lambda o: o.arcs)
+
+
 def init_state(req: CprRequirement, chain_length: int) -> PolicyState:
     """Counters start at 0 when the corresponding flag is set (the constraint
     applies from the first certificate) and chain_length+1 otherwise, which a
@@ -105,100 +94,81 @@ def init_state(req: CprRequirement, chain_length: int) -> PolicyState:
         raise ValueError("chain_length must be positive")
     unlimited = chain_length + 1
     return PolicyState(
-        tree=Node(ANY, {ANY}),
+        tree=({ANY: (frozenset({ANY}), frozenset())},),
         explicit_policy=0 if req.explicit_policy_required else unlimited,
         policy_mapping=0 if req.inhibit_policy_mapping else unlimited,
         depth=0,
-        chain_length=chain_length,
     )
 
 
-def _prune(node: Node, keep_depth: int) -> Node | None:
-    """Drop interior nodes above keep_depth that lost all children."""
-    if keep_depth == 0:
-        return node
-    node.children = [c for c in node.children
-                     if _prune(c, keep_depth - 1) is not None]
-    return node if node.children else None
+def _assert_policies(parents: dict, policies) -> dict:
+    """The next depth (RFC 5280 section 6.1.3(d)): each asserted policy hangs
+    from every parent that expects it, else from anyPolicy; an asserted
+    anyPolicy hangs every expected policy of every parent."""
+    asserted = {p.oid for p in policies}
+    hangs: dict[Oid, set[Oid]] = {}
+    for parent, (expected, _) in parents.items():
+        for policy in expected:
+            if policy in asserted or ANY in asserted:
+                hangs.setdefault(policy, set()).add(parent)
+    if ANY in parents:
+        for policy in asserted - hangs.keys() - {ANY}:
+            hangs[policy] = {ANY}
+    return {policy: (frozenset({policy}), frozenset(above))
+            for policy, above in hangs.items()}
 
 
-def _assert_policies(tree: Node, policies, depth: int) -> Node | None:
-    parents = tree.at_depth(depth - 1)
-    asserted = [p.oid for p in policies]
-    for policy in asserted:
-        if policy == ANY:
-            continue
-        matched = False
-        for parent in parents:
-            if policy in parent.expected:
-                parent.children.append(Node(policy, {policy}))
-                matched = True
-        if not matched:
-            for parent in parents:
-                if parent.valid_policy == ANY:
-                    parent.children.append(Node(policy, {policy}))
-    if ANY in asserted:
-        # wildcard: fill every still-unasserted expected policy
-        for parent in parents:
-            present = {c.valid_policy for c in parent.children}
-            for value in sorted(parent.expected, key=lambda o: o.arcs):
-                if value not in present:
-                    parent.children.append(Node(value, {value}))
-    return _prune(tree, depth)
-
-
-def _apply_mappings(state_tree: Node, mappings, counter: int, depth: int):
-    """Returns (tree, applied) after the mapping step at this depth."""
+def _apply_mappings(level: dict, mappings, counter: int) -> tuple:
+    """Map the newest depth in place (RFC 5280 section 6.1.4(b)): rewrite an
+    issuer-domain policy's expected set, or hang it from anyPolicy; with
+    mapping inhibited, delete it.  Returns the (issuer, subject) pairs
+    applied."""
     groups: dict[Oid, set[Oid]] = {}
     for m in mappings:
         groups.setdefault(m.issuer_domain, set()).add(m.subject_domain)
     applied: list[tuple[Oid, Oid]] = []
-    level = state_tree.at_depth(depth)
-    if counter > 0:
-        any_parents = [n for n in state_tree.at_depth(depth - 1)
-                       if n.valid_policy == ANY]
-        for idp in sorted(groups, key=lambda o: o.arcs):
-            sdps = groups[idp]
-            hits = [n for n in level if n.valid_policy == idp]
-            if hits:
-                for node in hits:
-                    node.expected = frozenset(sdps)
-            elif any(n.valid_policy == ANY for n in level):
-                for parent in any_parents:
-                    parent.children.append(Node(idp, sdps))
-            else:
-                continue
-            applied.extend((idp, sdp) for sdp in sorted(sdps, key=lambda o: o.arcs))
-        return state_tree, applied
-    # mapping inhibited: drop nodes asserting a mapped issuer-domain policy
-    for parent in state_tree.at_depth(depth - 1):
-        parent.children = [c for c in parent.children
-                           if c.valid_policy not in groups]
-    return _prune(state_tree, depth), applied
+    for idp in _sorted(groups):
+        if counter == 0:
+            level.pop(idp, None)
+        elif idp in level or ANY in level:
+            above = level[idp][1] if idp in level else frozenset({ANY})
+            level[idp] = (frozenset(groups[idp]), above)
+            applied.extend((idp, sdp) for sdp in _sorted(groups[idp]))
+    return tuple(applied)
+
+
+def _prune(levels: list[dict]) -> tuple | None:
+    """Drop, level by level upward, the nodes that nothing hangs from,
+    stopping at the first level that loses nothing; None when the newest
+    depth is empty."""
+    if not levels[-1]:
+        return None
+    for depth in range(len(levels) - 2, -1, -1):
+        used = set().union(*(above for _, above in levels[depth + 1].values()))
+        if len(used) == len(levels[depth]):
+            break
+        levels[depth] = {policy: node for policy, node in levels[depth].items()
+                         if policy in used}
+    return tuple(levels)
 
 
 def process_cert(state: PolicyState, cert: Certificate,
                  is_self_issued: bool, is_last: bool) -> PolicyState:
-    """One chain step: grow the tree from the certificate's asserted
+    """One chain step: grow the graph from the certificate's asserted
     policies, apply its mappings under the mapping counter, then update both
     counters (skipped for self-issued certificates) and fold in the
     certificate's own policy constraints."""
-    depth = state.depth + 1
-    tree = state.tree.clone() if state.tree is not None else None
+    tree = state.tree
     applied: tuple[tuple[Oid, Oid], ...] = ()
-
     policies = cert.extensions.certificate_policies
-    if tree is not None:
-        if policies is None:
-            tree = None
-        else:
-            tree = _assert_policies(tree, policies, depth)
-
-    mappings = cert.extensions.policy_mappings
-    if tree is not None and mappings:
-        tree, pairs = _apply_mappings(tree, mappings, state.policy_mapping,
-                                      depth)
-        applied = tuple(pairs)
+    if tree is not None and policies is None:
+        tree = None
+    elif tree is not None:
+        level = _assert_policies(tree[-1], policies)
+        if cert.extensions.policy_mappings:
+            applied = _apply_mappings(level, cert.extensions.policy_mappings,
+                                      state.policy_mapping)
+        tree = _prune([*tree, level])
 
     explicit = state.explicit_policy
     mapping = state.policy_mapping
@@ -213,105 +183,51 @@ def process_cert(state: PolicyState, cert: Certificate,
             mapping = min(mapping, constraints.inhibit_policy_mapping)
 
     return replace(state, tree=tree, explicit_policy=explicit,
-                   policy_mapping=mapping, depth=depth,
+                   policy_mapping=mapping, depth=state.depth + 1,
                    mappings_applied=state.mappings_applied + applied)
 
 
-def _user_intersection(tree: Node | None, user_set: frozenset,
-                       n: int) -> Node | None:
-    if tree is None:
-        return None
-    if user_set == {ANY}:
-        return tree
-    tree = tree.clone()
-
-    # drop valid-policy-node-set members (children of anyPolicy nodes)
-    # whose policy falls outside the user's acceptable set
-    def visit(node: Node) -> None:
-        kept = []
-        for child in node.children:
-            if node.valid_policy == ANY and child.valid_policy != ANY \
-                    and child.valid_policy not in user_set:
-                continue
-            kept.append(child)
-            visit(child)
-        node.children = kept
-
-    visit(tree)
-
-    # expand a surviving anyPolicy leaf at depth n into those user policies
-    # not already represented in the valid-policy-node-set
-    node_set_policies: set[Oid] = set()
-
-    def collect(node: Node) -> None:
-        for child in node.children:
-            if node.valid_policy == ANY and child.valid_policy != ANY:
-                node_set_policies.add(child.valid_policy)
-            collect(child)
-
-    collect(tree)
-    for parent in tree.at_depth(n - 1):
-        any_children = [c for c in parent.children if c.valid_policy == ANY]
-        if not any_children:
-            continue
-        for policy in sorted(user_set, key=lambda o: o.arcs):
-            if policy not in node_set_policies:
-                parent.children.append(Node(policy, {policy}))
-        for child in any_children:
-            parent.children.remove(child)
-    return _prune(tree, n)
-
-
 def final_verdict(state: PolicyState, req: CprRequirement) -> PolicyOutcome:
-    """Policy outcome after the whole chain was processed.
+    """Policy outcome after the whole chain was processed (RFC 5280 section
+    6.1.5(g), read from the graph as RFC 9618 does).
 
     The path is policy-acceptable when the explicit-policy counter never ran
-    out or the tree intersected with the client's acceptable set is
-    non-empty; the returned set is the subset of the acceptable set for
-    which the path is valid."""
-    user_set = (frozenset(req.acceptable_set) if req.acceptable_set
-                else frozenset({ANY}))
-    n = state.depth
-    intersected = _user_intersection(state.tree, user_set, n)
-    ok = state.explicit_policy > 0 or intersected is not None
-
-    authorized: set[Oid] = set()
-    if intersected is not None:
-        if user_set == {ANY}:
-            authorized = {node.valid_policy
-                          for node in intersected.at_depth(n)}
-        else:
-            # user-domain policies: children of anyPolicy nodes that kept a
-            # descendant at depth n (pruning already ensured reachability)
-            def collect(node: Node) -> None:
-                for child in node.children:
-                    if node.valid_policy == ANY and child.valid_policy != ANY:
-                        authorized.add(child.valid_policy)
-                    collect(child)
-
-            collect(intersected)
+    out or the authorized set is non-empty.  That set is every policy at the
+    last depth when the client accepts any policy.  Otherwise it is the
+    client's acceptable set, cut to the policies that hang from anyPolicy
+    (the first non-any policy on each path) unless anyPolicy itself reaches
+    the last depth."""
+    user = frozenset(req.acceptable_set) or frozenset({ANY})
+    tree = state.tree
+    if tree is None:
+        authorized = frozenset()
+    elif user == {ANY}:
+        authorized = frozenset(tree[-1])
+    elif ANY in tree[-1]:
+        authorized = user - {ANY}
+    else:
+        authorized = (user - {ANY}) & {
+            policy for level in tree
+            for policy, (_, above) in level.items() if ANY in above}
     return PolicyOutcome(
-        ok=ok,
-        authorized_set=tuple(sorted(authorized, key=lambda o: o.arcs)),
+        ok=state.explicit_policy > 0 or bool(authorized),
+        authorized_set=tuple(_sorted(authorized)),
         mappings_applied=state.mappings_applied,
     )
 
 
 def tree_paths(state: PolicyState) -> frozenset:
-    """Root-to-leaf snapshots (valid policy, expected set) for comparisons."""
+    """The graph unrolled into the valid_policy_tree's root-to-leaf paths of
+    (valid policy, expected set); every copy of a policy at one depth has the
+    same expected set, so the unrolled graph is the tree."""
     if state.tree is None:
         return frozenset()
-    paths = []
-
-    def walk(node: Node, prefix):
-        here = prefix + ((node.valid_policy, node.expected),)
-        if not node.children:
-            paths.append(here)
-        for child in node.children:
-            walk(child, here)
-
-    walk(state.tree, ())
-    return frozenset(paths)
+    paths = {ANY: [((ANY, frozenset({ANY})),)]}
+    for level in state.tree[1:]:
+        paths = {policy: [path + ((policy, expected),)
+                          for parent in above for path in paths[parent]]
+                 for policy, (expected, above) in level.items()}
+    return frozenset(path for unrolled in paths.values() for path in unrolled)
 
 
 def resolve_weak(usage: str, usage_table: dict) -> tuple[Oid, ...]:

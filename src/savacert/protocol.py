@@ -262,6 +262,8 @@ def parse_info_value(value: DerValue) -> RequestInformation:
         raise ProtocolError("bad requestInformation header fields")
     fields = _fields(e[4:], {0: Sequence, 1: Oid, 2: Sequence, 3: Sequence},
                      "bad requestInformation field")
+    if 3 in fields and not fields[3].elements:
+        raise ProtocolError("empty request extensions list")
     extensions = []
     for item in fields[3].elements if 3 in fields else ():
         entry = sequence_of(item, Oid, Boolean, OctetString)

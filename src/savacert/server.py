@@ -153,7 +153,9 @@ def parse_server_config(text: str, base_dir: "Path | str" = ".") -> ServerConfig
     policies: dict = {}
     for section in parse_sections(text):
         if section.name == "server":
-            settings = dict(read(section, _SERVER_KEYS, "[server] "))
+            # repeated sections merge as [client] ones do: the last line wins
+            settings = {**(settings or {}),
+                        **dict(read(section, _SERVER_KEYS, "[server] "))}
         elif section.name == "policy":
             policy = _parse_policy(section)
             if policy.oid in policies:

@@ -3,12 +3,12 @@ searches candidate chains in discovery order until one validates.
 
 Per certificate, in order: signature under the working key, validity
 window, name chaining, accumulated name constraints, revocation status per
-the configured regime, the policy-tree step, CA constraints for non-last
+the configured regime, the policy-graph step, CA constraints for non-last
 certificates, pathLen, and rejection of unknown critical extensions.  The
 first failure wins.  The trust anchor itself is never signature- or
 revocation-checked.
 
-All but name constraints, pathLen and the policy tree depend on one
+All but name constraints, pathLen and the policy graph depend on one
 (issuer, subject, subject is last) edge, checked once per request.  Once the
 first candidate fails, the search walks only edges that pass, and it stops
 with an unknown verdict after ``MAX_FULL_VALIDATIONS`` full validations.

@@ -181,3 +181,38 @@ def test_pruned_chains_match_filtered_bruteforce_order():
         assert [_chain_key(c) for c in pruned] == [
             (anchor_fp, fps) for anchor_fp, fps in expected
             if rejected.isdisjoint(_edges(anchor_fp, fps))]
+
+
+def test_short_max_length_matches_bruteforce_oracle():
+    # dead-end pruning must cut only chains longer than max_length
+    rng = random.Random(5280)
+    for _ in range(60):
+        certificates, anchors, target = random_cert_graph(rng)
+        graph = CertGraph(certificates,
+                          [fingerprint(a) for a in anchors])
+        max_length = rng.randint(1, 4)
+        expected = all_simple_paths(certificates, anchors, target,
+                                    max_length=max_length)
+        chains = discover(graph, target, max_length=max_length)
+        assert [_chain_key(c) for c in chains] == discovery_order(expected)
+
+
+def test_dead_end_island_walks_no_edge():
+    # k cross-certified CAs beside the anchor, none issued by it, and a
+    # target under one of them: no chain can reach the anchor
+    k = 9
+    root = fabricate_cert("root", "root")
+    island = [fabricate_cert(f"ca{i}", f"ca{j}", serial=k * i + j)
+              for i in range(k) for j in range(k) if i != j]
+    target = fabricate_cert("ee", "ca0")
+    graph = CertGraph([root, *island, target], [fingerprint(root)])
+    calls = []
+
+    def edge_ok(issuer, subject, is_target):
+        calls.append((issuer, subject))
+        if len(calls) > 1000:
+            raise AssertionError("the walk entered the dead end")
+        return True
+
+    assert list(chains(graph, target, 8, edge_ok)) == []
+    assert calls == []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -232,3 +233,42 @@ def test_any_policy_default_never_fails_without_inchain_constraints():
                  for _ in range(rng.randint(1, 5))]
         _, out = run_chain(steps, pt.CprRequirement.any_policy())
         assert out.ok
+
+
+def _random_cpr_mixing_any(rng):
+    # anyPolicy only beside another policy: the oracle reads an explicit
+    # {anyPolicy} apart from the blank set, which RFC 5280 treats alike
+    cpr = _random_cpr(rng)
+    if cpr.acceptable_set and rng.random() < 0.3:
+        cpr = pt.CprRequirement.strict((*cpr.acceptable_set, ANY),
+                                       cpr.explicit_policy_required,
+                                       cpr.inhibit_policy_mapping)
+    return cpr
+
+
+def test_oracle_equivalence_long_chains():
+    rng = random.Random(9618)
+    for _ in range(300):
+        steps = [_random_step(rng) for _ in range(rng.randint(6, 8))]
+        assert_matches_oracle(steps, _random_cpr_mixing_any(rng))
+
+
+def test_mapped_chain_keeps_one_node_per_policy_per_depth():
+    # every CA asserts all four policies and maps each to the other three,
+    # so the unrolled tree has 4 * 3**7 leaves; the graph keeps 4 per depth
+    mappings = tuple((a, b) for a in POOL for b in POOL if a != b)
+    certs = [make_chain_cert(i, POOL, mappings) for i in range(1, 9)]
+    cpr = pt.CprRequirement.any_policy()
+    tracemalloc.start()
+    try:
+        state = pt.init_state(cpr, len(certs))
+        for i, cert in enumerate(certs):
+            state = pt.process_cert(state, cert, False, i == len(certs) - 1)
+        out = pt.final_verdict(state, cpr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert [len(level) for level in state.tree] == [1] + [4] * 8
+    assert out.ok and out.authorized_set == POOL
+    assert len(out.mappings_applied) == 8 * len(mappings)

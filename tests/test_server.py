@@ -15,7 +15,15 @@ import pytest
 from savacert import certs, crypto, oids, pathbuild, protocol, server as cvs
 from savacert.certs import Extension, Extensions, fingerprint
 from savacert.config import ConfigError
-from savacert.der import BitString, Oid, encode, named_bits
+from savacert.der import (
+    BitString,
+    ContextTagged,
+    Oid,
+    Sequence,
+    decode_exact,
+    encode,
+    named_bits,
+)
 from savacert.policytree import CprRequirement
 from savacert.protocol import ErrorCode, ErrorNotice, WantBack
 from savacert.validation import FailureReason, VerdictStatus
@@ -139,6 +147,24 @@ def test_repeated_request_extension_yields_signed_notice(happy_core,
     with pytest.raises(protocol.ProtocolError, match="repeated"):
         protocol.parse_request(protocol.encode_request(request))
     notice = send(happy_core, request)
+    assert isinstance(notice, ErrorNotice)
+    assert notice.code is ErrorCode.MALFORMED_REQUEST
+    assert notice.signature is not None
+
+
+def test_empty_request_extensions_list_yields_signed_notice(happy_core,
+                                                           scenarios):
+    # an empty [3] list would be dropped from the DVC's byte-exact echo
+    ee = scenarios.cert("happy3", "ee", "sub")
+    envelope = decode_exact(protocol.encode_request(build([ee])))
+    body = envelope.inner.elements[0]
+    info = Sequence([*body.elements[0].elements,
+                     ContextTagged(3, Sequence([]))])
+    raw = encode(ContextTagged(envelope.number, Sequence(
+        [Sequence([info, *body.elements[1:]])])))
+    with pytest.raises(protocol.ProtocolError, match="empty"):
+        protocol.parse_request(raw)
+    notice = protocol.parse_response(happy_core.handle_dvcs_bytes(raw))
     assert isinstance(notice, ErrorNotice)
     assert notice.code is ErrorCode.MALFORMED_REQUEST
     assert notice.signature is not None
@@ -659,6 +685,25 @@ key = k
 certificate = c
 repository = r
 """)
+
+
+def test_repeated_server_sections_merge_key_by_key():
+    config = cvs.parse_server_config("""
+[server]
+name = CN=First
+responder_url = http://h/status
+key = k
+[server]
+name = CN=Second
+certificate = c
+repository = r
+[policy a]
+oid = 1.2.3
+default = true
+""")
+    assert config.responder_url == "http://h/status"
+    assert config.name == certs.Name.from_string("CN=Second")
+    assert config.key_path == pathlib.Path("k")
 
 
 def test_unknown_anchor_label_fails_startup(tmp_path, server_identity,
