@@ -142,6 +142,8 @@ class ValidationRequest:
     intended_usage: str | None = None
     want_backs: frozenset | None = None  # None: the server default applies
     time_override: datetime.datetime | None = None
+    # the signed body as received; None for a request built in process
+    signed_der: bytes | None = field(default=None, compare=False, repr=False)
 
     def target_fingerprints(self) -> list[bytes]:
         return [target_fingerprint(t) for t in self.targets]
@@ -446,15 +448,21 @@ def parse_request(data: bytes, stored=None) -> ValidationRequest:
         info=info, targets=targets,
         acceptable_set=_oid_list(body[2], "acceptablePolicySet"),
         explicit_policy_required=body[3].value,
-        inhibit_policy_mapping=body[4].value, signature=signature, **fields)
+        inhibit_policy_mapping=body[4].value, signature=signature,
+        signed_der=value.elements[0].der, **fields)
 
 
 def verify_request_signature(request: ValidationRequest) -> bool:
+    """Check the signature over the body bytes as received; only a request
+    built in process is encoded for it."""
     if request.signature is None:
         return False
     sig = request.signature
-    return crypto.verify(sig.signer.public_key, sig.algorithm,
-                         encode(_request_body(request)), sig.value)
+    signed = request.signed_der
+    if signed is None:
+        signed = encode(_request_body(request))
+    return crypto.verify(sig.signer.public_key, sig.algorithm, signed,
+                         sig.value)
 
 
 # ---------------------------------------------------------------------------

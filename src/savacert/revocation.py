@@ -3,16 +3,18 @@ protocol (signed, nonce-bound query/reply over ``POST /status``).
 
 The online reply embeds the query byte-exactly and is signed by the
 responder key, so a status verdict always carries independently
-re-verifiable evidence (the CRL or the raw signed reply).
+re-verifiable evidence (the CRL or the raw signed reply).  Queries go over
+pooled HTTP/1.1 keep-alive connections (RFC 9112 section 9).
 """
 
 from __future__ import annotations
 
 import datetime
 import enum
+import http.client
 import secrets
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from dataclasses import dataclass
 
 from . import crypto
@@ -211,23 +213,87 @@ def verify_status_reply(reply_der: bytes, query_der: bytes,
     return CertStatus(status_value, "online", reply_der, date, reason, cause)
 
 
+# idle keep-alive connections kept per responder (RFC 9112 section 9); a
+# connection serves one query at a time
+MAX_IDLE_PER_RESPONDER = 4
+_CONNECTION_TYPES = {"http": http.client.HTTPConnection,
+                     "https": http.client.HTTPSConnection}
+_idle: dict[tuple, list] = {}  # (scheme, host, port) -> idle connections
+_idle_lock = threading.Lock()
+
+
+def _post(connection: http.client.HTTPConnection, target: str,
+          query: bytes) -> http.client.HTTPResponse:
+    connection.request("POST", target, query,
+                       {"Content-Type": STATUS_CONTENT_TYPE})
+    return connection.getresponse()
+
+
+def _exchange(url: str, query: bytes, timeout: float
+              ) -> tuple[tuple, http.client.HTTPConnection, bytes]:
+    """POST ``query`` over an idle pooled connection, else a new one, and
+    return the pool key, the connection and the body of a 200 reply.  A
+    pooled connection that fails before any reply byte (the responder
+    closed it while idle) is replaced once by a new one: the query only
+    reads, so sending it twice is harmless."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        key = (parts.scheme, parts.hostname, parts.port)  # port may raise
+        if parts.scheme not in _CONNECTION_TYPES or not parts.hostname:
+            raise ValueError("not an http(s) URL")
+    except ValueError as exc:
+        raise Transport(f"status query to {url} failed: {exc}") from exc
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    with _idle_lock:
+        idle = _idle.get(key)
+        connection = idle.pop() if idle else None
+    response = None
+    try:
+        if connection is not None:
+            connection.sock.settimeout(timeout)
+            try:
+                response = _post(connection, target, query)
+            except (ConnectionResetError, BrokenPipeError):
+                # closed while idle; RemoteDisconnected is a reset too
+                connection.close()
+        if response is None:
+            connection = _CONNECTION_TYPES[parts.scheme](
+                parts.hostname, parts.port, timeout=timeout)
+            response = _post(connection, target, query)
+        body = response.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        if connection is not None:
+            connection.close()
+        raise Transport(f"status query to {url} failed: {exc}") from exc
+    if response.status != 200:
+        connection.close()
+        raise Transport(f"status query to {url} answered HTTP "
+                        f"{response.status}")
+    return key, connection, body
+
+
 def check_online(cert: Certificate, responder_url: str,
                  responder_cert: Certificate,
                  nonce: int | None = None, timeout: float = 10.0) -> CertStatus:
     """Ask the online responder for the certificate's status."""
     query_der, _ = build_status_query(cert.issuer, cert.serial, nonce)
-    try:  # Request raises ValueError for a URL it cannot use
-        request = urllib.request.Request(
-            responder_url, data=query_der, method="POST",
-            headers={"Content-Type": STATUS_CONTENT_TYPE})
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-    except (urllib.error.URLError, OSError, TimeoutError, ValueError) as exc:
-        raise Transport(f"status query to {responder_url} failed: {exc}") from exc
+    key, connection, body = _exchange(responder_url, query_der, timeout)
     try:
-        return verify_status_reply(body, query_der, responder_cert)
+        status = verify_status_reply(body, query_der, responder_cert)
     except DecodeError as exc:
+        connection.close()
         raise Transport(f"unparseable status reply: {exc}") from exc
+    except BaseException:
+        connection.close()
+        raise
+    # http.client has already closed a connection whose reply closes it
+    with _idle_lock:
+        idle = _idle.setdefault(key, [])
+        if connection.sock is not None and len(idle) < MAX_IDLE_PER_RESPONDER:
+            idle.append(connection)
+            return status
+    connection.close()
+    return status
 
 
 def responder_status(crls_for_digest, digest: bytes, serial: int,

@@ -493,8 +493,14 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/status" and core.config.status_responder:
             try:
                 reply = core.handle_status_bytes(body)
-            except (DerError, StructureMismatch) as exc:
+            except (DerError, StructureMismatch, ValueError,
+                    OverflowError) as exc:
                 self._send(400, "text/plain", f"bad query: {exc}\n".encode())
+                return
+            except Exception:  # never leave a kept-alive client mid-reply
+                log.exception("status internal error")
+                self._send(500, "text/plain", b"internal server error\n",
+                           close=True)
                 return
             self._send(200, STATUS_CONTENT_TYPE, reply)
         else:

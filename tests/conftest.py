@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from savacert import forge, server as cvs_server
+from savacert import forge, revocation, server as cvs_server
 from savacert.certs import fingerprint, parse_certificate
 
 EPOCH = datetime.datetime(2025, 1, 1, tzinfo=datetime.timezone.utc)
@@ -137,3 +137,9 @@ def server_factory(tmp_path, server_identity):
     yield start
     for handle in running:
         handle.stop()
+    # a pooled status connection would hold its handler thread, and could
+    # reach a stopped server through a reused port
+    with revocation._idle_lock:
+        for connection in sum(revocation._idle.values(), []):
+            connection.close()
+        revocation._idle.clear()

@@ -36,7 +36,9 @@ def fabricate_cert(subject: str, issuer: str, *, serial: int = 1,
                    public_key: bytes | None = None) -> Certificate:
     """Structurally valid certificate with a dummy signature; good enough
     for anything that does not verify signatures (discovery, policy walks)."""
-    rng = rng or random.Random(hash((subject, issuer, serial)) & 0xFFFF)
+    # a str seed is hashed with SHA-512, the same in every process; hash()
+    # of a str is salted per process
+    rng = rng or random.Random(repr((subject, issuer, serial)))
     return Certificate(
         version=3, serial=serial, signature_alg=oids.ALG_ED25519,
         issuer=label_name(issuer), not_before=_EPOCH, not_after=_LATER,

@@ -1,6 +1,9 @@
 import dataclasses
 import datetime
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -297,3 +300,14 @@ def test_structure_mismatch_on_wrong_shape():
     raw = encode(Sequence([Integer(1), Integer(2)]))
     with pytest.raises(StructureMismatch):
         parse_crl(raw)
+
+
+def test_fabricated_certificates_do_not_depend_on_the_hash_seed():
+    code = ("from helpers import fabricate_cert; "
+            "print(fabricate_cert('ca-3', 'ca-7', serial=9).der.hex())")
+    outputs = {subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                        "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+        for seed in ("1", "2")}
+    assert len(outputs) == 1 and outputs != {""}

@@ -1,5 +1,7 @@
 import datetime
 import shutil
+import socket
+import threading
 
 import pytest
 
@@ -246,6 +248,112 @@ def test_crl_and_online_agree_per_scenario(scenarios, server_factory):
             assert via_crl.value == via_online.value, (name, subject)
             assert via_crl.revocation_date == via_online.revocation_date
             assert via_crl.reason == via_online.reason
+
+
+def _accepted(monkeypatch) -> list:
+    """The server-side sockets of every connection CvsHttpServer accepts."""
+    get_request = cvs.CvsHttpServer.get_request
+
+    def counted(self):
+        sock, address = get_request(self)
+        accepted.append(sock)
+        return sock, address
+
+    accepted = []
+    monkeypatch.setattr(cvs.CvsHttpServer, "get_request", counted)
+    return accepted
+
+
+def test_online_requests_reuse_one_responder_connection(
+        scenarios, server_factory, monkeypatch):
+    accepted = _accepted(monkeypatch)
+    handle = server_factory(scenarios.layout("happy3").out_dir,
+                            revocation="online")
+    ee = scenarios.cert("happy3", "ee", "sub")
+    for nonce in range(20):  # two status queries each: ee and sub
+        request = protocol.build_request(
+            targets=[ee], cpr=CprRequirement.any_policy(), now=NOW,
+            nonce=nonce)
+        response = protocol.parse_response(
+            handle.core.handle_dvcs_bytes(protocol.encode_request(request)))
+        assert response.info.results[0].status is VerdictStatus.VALID
+    assert len(accepted) == 1
+
+
+def test_pooled_connection_closed_by_responder_is_retried_once(
+        scenarios, server_factory, monkeypatch):
+    accepted = _accepted(monkeypatch)
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    url, responder_cert = handle.url + "/status", handle.identity.certificate
+    ee = scenarios.cert("happy3", "ee", "sub")
+    assert check_online(ee, url, responder_cert).is_good
+    accepted[0].shutdown(socket.SHUT_RDWR)  # the responder ends the idle one
+    assert check_online(ee, url, responder_cert).is_good
+    assert len(accepted) == 2
+
+    # a responder that drops every query unanswered: the pooled connection
+    # is retried once on a new one, and a new one is never retried
+    monkeypatch.setattr(cvs._Handler, "do_POST",
+                        lambda self: setattr(self, "close_connection", True))
+    with pytest.raises(Transport):
+        check_online(ee, url, responder_cert)
+    assert len(accepted) == 3
+    with pytest.raises(Transport):
+        check_online(ee, url, responder_cert)
+    assert len(accepted) == 4
+
+
+def _raise_runtime_error(self, body):
+    raise RuntimeError("responder fault")
+
+
+@pytest.mark.parametrize("path, answer", [
+    ("/status", _raise_runtime_error),           # 500, Connection: close
+    ("/nowhere", None),                          # 404, kept alive
+    ("/status", lambda self, body: b"no reply"),  # 200, not a reply
+])
+def test_failed_status_exchange_is_transport_and_not_pooled(
+        scenarios, server_factory, monkeypatch, path, answer):
+    accepted = _accepted(monkeypatch)
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    url, responder_cert = handle.url + "/status", handle.identity.certificate
+    ee = scenarios.cert("happy3", "ee", "sub")
+    assert check_online(ee, url, responder_cert).is_good
+    with monkeypatch.context() as patch:
+        if answer is not None:
+            patch.setattr(cvs.CvsServer, "handle_status_bytes", answer)
+        with pytest.raises(Transport):
+            check_online(ee, handle.url + path, responder_cert)
+    assert len(accepted) == 1  # the failed query took the pooled connection
+    assert check_online(ee, url, responder_cert).is_good
+    assert len(accepted) == 2  # and closed it
+
+
+def test_concurrent_queries_each_get_their_own_reply(
+        scenarios, server_factory, monkeypatch):
+    monkeypatch.setattr(revocation, "MAX_IDLE_PER_RESPONDER", 2)
+    handle = server_factory(scenarios.layout("happy3").out_dir)
+    url, responder_cert = handle.url + "/status", handle.identity.certificate
+    ee = scenarios.cert("happy3", "ee", "sub")
+    start = threading.Barrier(8)
+    echoed = {}
+
+    def query(nonce):
+        start.wait()
+        for _ in range(3):
+            reply = check_online(ee, url, responder_cert, nonce=nonce).evidence
+            echo = decode_exact(reply).elements[0].der
+            echoed.setdefault(nonce, set()).add(parse_status_query(echo)[2])
+
+    threads = [threading.Thread(target=query, args=(1000 + i,))
+               for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert echoed == {1000 + i: {1000 + i} for i in range(8)}
+    host, port = handle.httpd.server_address[:2]
+    assert 1 <= len(revocation._idle[("http", host, port)]) <= 2
 
 
 NEWER = datetime.datetime(2025, 6, 1, tzinfo=UTC)

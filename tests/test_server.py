@@ -815,33 +815,46 @@ def test_cli_serves_and_shuts_down_gracefully(tmp_path, server_identity,
     import sys
     import time as time_mod
 
-    state = tmp_path / "state"
-    state.mkdir()
-    config_path = tmp_path / "server.cfg"
-    config_path.write_text(make_server_config(
-        scenarios.layout("happy3").out_dir, state, server_identity))
-    port = _free_port()
-    process = subprocess.Popen(
-        [sys.executable, "-m", "savacert.server", "--config",
-         str(config_path), "--listen", f"127.0.0.1:{port}"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    try:
-        deadline = time_mod.time() + 10
-        while time_mod.time() < deadline:
-            try:
-                with urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/health", timeout=1) as r:
-                    assert r.read() == b"ok\n"
-                break
-            except OSError:
-                time_mod.sleep(0.05)
-        else:
-            raise AssertionError("server never answered /health")
-        process.send_signal(signal.SIGTERM)
-        assert process.wait(timeout=10) == 0
-    finally:
-        if process.poll() is None:
-            process.kill()
+    ee = scenarios.cert("happy3", "ee", "sub")
+    # the online case answers its own status queries, so at SIGTERM the
+    # server holds pooled keep-alive connections to itself
+    for regime in ("crl", "online"):
+        state = tmp_path / regime
+        state.mkdir()
+        port = _free_port()
+        config_path = state / "server.cfg"
+        config_path.write_text(make_server_config(
+            scenarios.layout("happy3").out_dir, state, server_identity,
+            revocation=regime,
+            responder_url=f"http://127.0.0.1:{port}/status"))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "savacert.server", "--config",
+             str(config_path), "--listen", f"127.0.0.1:{port}"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        try:
+            deadline = time_mod.time() + 10
+            while time_mod.time() < deadline:
+                try:
+                    with urllib.request.urlopen(
+                            f"http://127.0.0.1:{port}/health", timeout=1) as r:
+                        assert r.read() == b"ok\n"
+                    break
+                except OSError:
+                    time_mod.sleep(0.05)
+            else:
+                raise AssertionError("server never answered /health")
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/dvcs", method="POST",
+                data=protocol.encode_request(build([ee])))
+            with urllib.request.urlopen(request, timeout=10) as r:
+                response = protocol.parse_response(r.read())
+            assert response.info.results[0].status is VerdictStatus.VALID
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=10) == 0, regime
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
 
 
 def _free_port() -> int:
@@ -930,7 +943,8 @@ def test_serial_survives_a_torn_state_write(tmp_path, server_identity,
     assert send(reborn, build([ee])).info.serial_number > max(issued)
 
 
-def test_every_response_is_one_write(scenarios, server_factory, monkeypatch):
+def test_every_response_is_one_write(scenarios, server_factory, monkeypatch,
+                                     caplog):
     # a head flushed ahead of its body would wait for the client's delayed
     # ACK on a kept-alive connection; count the handler's socket writes
     writes = []
@@ -978,6 +992,51 @@ def test_every_response_is_one_write(scenarios, server_factory, monkeypatch):
         assert reply.startswith(b"HTTP/1.1 %d " % status)
         assert b"\r\nConnection: close\r\n" in reply
         assert writes == [reply]
+
+    # a fault in the responder: a query that does not parse gets 400 on a
+    # connection kept open; any other fault is logged and gets 500, closing
+    query = (b"POST /status HTTP/1.1\r\nConnection: close\r\n"
+             b"Content-Length: 3\r\n\r\nabc")
+    for fault, status in [(ValueError, 400), (OverflowError, 400),
+                          (RuntimeError, 500)]:
+        def fail(self, body, fault=fault):
+            raise fault("injected")
+
+        monkeypatch.setattr(cvs.CvsServer, "handle_status_bytes", fail)
+        writes.clear()
+        with caplog.at_level(logging.ERROR, logger="savacert.server"):
+            reply = _raw_exchange(handle, query)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert (b"\r\nConnection: close\r\n" in reply) is (status == 500)
+        assert writes == [reply]
+    assert [r.exc_info[0] for r in caplog.records
+            if r.levelno == logging.ERROR] == [RuntimeError]
+    with urllib.request.urlopen(handle.url + "/health", timeout=5) as reply:
+        assert reply.read() == b"ok\n"
+
+
+def test_signed_request_is_checked_over_the_bytes_received(
+        tmp_path, server_identity, scenarios, monkeypatch):
+    core = make_core(tmp_path, server_identity,
+                     scenarios.layout("happy3").out_dir,
+                     policy_lines=("require_signed_requests = true",))
+    layout = scenarios.layout("happy3")
+    raw = protocol.encode_request(build(
+        [scenarios.cert("happy3", "ee", "sub")],
+        signer_key=crypto.decode_key(layout.keys["root"].read_bytes()),
+        signer_cert=scenarios.cert("happy3", "root", "root")))
+    signed_body = decode_exact(raw).inner.elements[0].der
+    encoded = []
+    protocol_encode = protocol.encode
+
+    def recorded(value):
+        encoded.append(protocol_encode(value))
+        return encoded[-1]
+
+    monkeypatch.setattr(protocol, "encode", recorded)
+    response = protocol.parse_response(core.handle_dvcs_bytes(raw))
+    assert response.info.results[0].status is VerdictStatus.VALID
+    assert encoded and signed_body not in encoded
 
 
 def test_http_09_request_gets_a_bare_body(scenarios, server_factory):
