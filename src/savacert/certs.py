@@ -662,6 +662,21 @@ def check_crl_signature(crl: Crl, issuer_public_key: bytes) -> bool:
                          crl.signature)
 
 
+class SignatureMemo:
+    """Signature verdicts over a repository snapshot's certificates and CRLs,
+    failures included, keyed by (issuer key, signed DER) and filled on first
+    use.  A pair is kept only when its issuer certificate and its signed
+    object are both stored, so no request can grow the memo past the
+    snapshot's own pairs; the memo dies with the snapshot that owns it."""
+
+    def __init__(self, stored=()):
+        self.stored = frozenset(obj.der for obj in stored)
+        self.verdicts: dict[tuple[bytes, bytes], bool] = {}
+
+    def holds(self, issuer: Certificate, signed: Certificate | Crl) -> bool:
+        return issuer.der in self.stored and signed.der in self.stored
+
+
 def sign_crl(*, issuer: Name, this_update: datetime.datetime,
              next_update: datetime.datetime,
              revoked: tuple[RevokedEntry, ...],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -38,6 +38,8 @@ class MalformedKey(CryptoError):
 class KeyPair:
     public_key: bytes
     private_key: bytes
+    # the loaded private key, so signing never reloads it
+    signer: Ed25519PrivateKey = field(compare=False, repr=False)
 
 
 def generate(seed: bytes | None = None) -> KeyPair:
@@ -51,15 +53,11 @@ def _key_pair(raw: bytes) -> KeyPair:
         private = Ed25519PrivateKey.from_private_bytes(raw)
     except ValueError as exc:
         raise MalformedKey(str(exc)) from exc
-    return KeyPair(private.public_key().public_bytes_raw(), raw)
+    return KeyPair(private.public_key().public_bytes_raw(), raw, private)
 
 
 def sign(key: KeyPair, message: bytes) -> bytes:
-    try:
-        private = Ed25519PrivateKey.from_private_bytes(key.private_key)
-    except ValueError as exc:
-        raise MalformedKey(str(exc)) from exc
-    return private.sign(message)
+    return key.signer.sign(message)
 
 
 def verify(public_key: bytes, algorithm: Oid, message: bytes,

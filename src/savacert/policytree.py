@@ -216,20 +216,6 @@ def final_verdict(state: PolicyState, req: CprRequirement) -> PolicyOutcome:
     )
 
 
-def tree_paths(state: PolicyState) -> frozenset:
-    """The graph unrolled into the valid_policy_tree's root-to-leaf paths of
-    (valid policy, expected set); every copy of a policy at one depth has the
-    same expected set, so the unrolled graph is the tree."""
-    if state.tree is None:
-        return frozenset()
-    paths = {ANY: [((ANY, frozenset({ANY})),)]}
-    for level in state.tree[1:]:
-        paths = {policy: [path + ((policy, expected),)
-                          for parent in above for path in paths[parent]]
-                 for policy, (expected, above) in level.items()}
-    return frozenset(path for unrolled in paths.values() for path in unrolled)
-
-
 def resolve_weak(usage: str, usage_table: dict) -> tuple[Oid, ...]:
     """Map an intended-usage string through the server's table; the request
     then proceeds as strict CPR over the returned set."""

@@ -576,27 +576,20 @@ def _parse_dvc_info(value: DerValue) -> DvcInfo:
                    version=e[0].value)
 
 
-def _signed_envelope(kind: int, info: DerValue,
-                     signer: Certificate | None = None,
-                     key: crypto.KeyPair | None = None) -> bytes:
-    """The message, signed by ``key`` with ``signer`` attached when given."""
+def _signed_envelope(kind: int, info: DerValue, signer: Certificate,
+                     key: crypto.KeyPair) -> bytes:
+    """The message, signed by ``key`` with ``signer`` attached."""
     info_der = encode(info)
-    parts: list[DerValue] = [Raw(info_der)]
-    if key is not None:
-        signature = crypto.sign(key, info_der)
-        parts += [ContextTagged(0, Raw(signer.der)),
-                  ContextTagged(1, Sequence([crypto.ALGORITHM,
-                                             BitString(signature, 0)]))]
-    return encode(ContextTagged(kind, Sequence(parts)))
+    signature = crypto.sign(key, info_der)
+    return encode(ContextTagged(kind, Sequence([
+        Raw(info_der), ContextTagged(0, Raw(signer.der)),
+        ContextTagged(1, Sequence([crypto.ALGORITHM,
+                                   BitString(signature, 0)]))])))
 
 
 def sign_dvc(info: DvcInfo, signer: Certificate,
              key: crypto.KeyPair) -> bytes:
     return _signed_envelope(_KIND_DVC, dvc_info_value(info), signer, key)
-
-
-def unsigned_dvc(info: DvcInfo) -> bytes:
-    return _signed_envelope(_KIND_DVC, dvc_info_value(info))
 
 
 def notice_info_value(notice: ErrorNotice) -> Sequence:

@@ -375,7 +375,8 @@ class CvsServer:
         for target in targets:
             verdict = validate_target(
                 graph, target, at, cpr, revocation_config,
-                repository.crls_for, policy.max_chain_length, checked)
+                repository.crls_for, policy.max_chain_length, checked,
+                repository.signatures)
             results.append(TargetResult(
                 target_fingerprint=protocol.target_fingerprint(target),
                 status=verdict.status,

@@ -7,7 +7,7 @@ import datetime
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .certs import Crl, Name, parse_certificate, parse_crl
+from .certs import Crl, Name, SignatureMemo, parse_certificate, parse_crl
 from .config import ConfigError, parse_timestamp
 from .pathbuild import CertGraph
 from .revocation import issuer_digest
@@ -59,6 +59,8 @@ class Repository:
     crls_by_issuer: dict[Name, list[Crl]] = field(default_factory=dict)
     crls_by_digest: dict[bytes, list[Crl]] = field(default_factory=dict)
     anchors: list[AnchorEntry] = field(default_factory=list)
+    signatures: SignatureMemo = field(default_factory=SignatureMemo,
+                                      compare=False, repr=False)
 
     @classmethod
     def load(cls, root: "Path | str") -> "Repository":
@@ -84,6 +86,9 @@ class Repository:
         for issuer, crls in repo.crls_by_issuer.items():
             crls.sort(key=lambda c: c.this_update, reverse=True)
             repo.crls_by_digest[issuer_digest(issuer)] = crls
+        repo.signatures = SignatureMemo(
+            [*certificates, *(crl for crls in repo.crls_by_issuer.values()
+                              for crl in crls)])
         manifest = root / "anchors.txt"
         if manifest.is_file():
             repo.anchors = parse_anchor_manifest(manifest.read_text())

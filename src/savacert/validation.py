@@ -9,9 +9,12 @@ first failure wins.  The trust anchor itself is never signature- or
 revocation-checked.
 
 All but name constraints, pathLen and the policy graph depend on one
-(issuer, subject, subject is last) edge, checked once per request.  Once the
-first candidate fails, the search walks only edges that pass, and it stops
-with an unknown verdict after ``MAX_FULL_VALIDATIONS`` full validations.
+(issuer, subject, subject is last) edge, checked once per request.  A
+signature over a stored certificate or CRL under a stored issuer is checked
+once per repository snapshot, in the snapshot's ``SignatureMemo``; any
+other signature once per request.  Once the first candidate fails, the
+search walks only edges that pass, and it stops with an unknown verdict
+after ``MAX_FULL_VALIDATIONS`` full validations.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .certs import (
     Crl,
     KeyUsage,
     Name,
+    SignatureMemo,
     check_crl_signature,
     check_signature,
 )
@@ -110,16 +114,26 @@ def _once(checked: dict, memo_key, check, *args):
     return checked[memo_key]
 
 
-def _revocation_status(cert: Certificate, at, issuer_key: bytes,
-                       config: RevocationConfig, crls_for,
-                       checked: dict) -> revocation.CertStatus | None:
+def _signature_ok(check, signed: Certificate | Crl, issuer: Certificate,
+                  checked: dict, signatures: SignatureMemo | None) -> bool:
+    """``check(signed, issuer's key)``, run once per snapshot when
+    ``signatures`` holds the pair, else once per request in ``checked``."""
+    memo = (signatures.verdicts if signatures is not None
+            and signatures.holds(issuer, signed) else checked)
+    return _once(memo, (issuer.public_key, signed.der), check, signed,
+                 issuer.public_key)
+
+
+def _revocation_status(cert: Certificate, at, issuer: Certificate,
+                       config: RevocationConfig, crls_for, checked: dict,
+                       signatures) -> revocation.CertStatus | None:
     if config.regime == "none":
         return None
 
     def by_crl():
         verified = [crl for crl in crls_for(cert.issuer)
-                    if _once(checked, (crl.der, issuer_key),
-                             check_crl_signature, crl, issuer_key)]
+                    if _signature_ok(check_crl_signature, crl, issuer,
+                                     checked, signatures)]
         if not verified:
             return revocation.CertStatus(
                 revocation.StatusValue.UNDETERMINED, "crl", None,
@@ -147,10 +161,10 @@ def _revocation_status(cert: Certificate, at, issuer_key: bytes,
 
 
 def _edge(issuer: Certificate, cert: Certificate, is_last: bool, at,
-          config: RevocationConfig, crls_for, checked: dict):
+          config: RevocationConfig, crls_for, checked: dict, signatures):
     """The checks of ``cert`` under ``issuer`` that need nothing else: the
     first failing reason or None, and the revocation evidence."""
-    if not check_signature(cert, issuer.public_key):
+    if not _signature_ok(check_signature, cert, issuer, checked, signatures):
         return FailureReason.BAD_SIGNATURE, None
     if at < cert.not_before:
         return FailureReason.NOT_YET_VALID, None
@@ -158,8 +172,8 @@ def _edge(issuer: Certificate, cert: Certificate, is_last: bool, at,
         return FailureReason.EXPIRED, None
     if cert.issuer != issuer.subject:
         return FailureReason.NAME_CHAINING, None
-    status = _revocation_status(cert, at, issuer.public_key, config,
-                                crls_for, checked)
+    status = _revocation_status(cert, at, issuer, config, crls_for, checked,
+                                signatures)
     evidence = None if status is None else status.evidence
     if status is not None:
         if status.value is revocation.StatusValue.REVOKED:
@@ -186,11 +200,13 @@ _BEFORE_NAME_CONSTRAINTS = (FailureReason.BAD_SIGNATURE,
 
 def validate_path(chain: CandidateChain, at: datetime.datetime,
                   cpr: CprRequirement, revocation_config: RevocationConfig,
-                  crls_for, checked: dict | None = None) -> Verdict:
+                  crls_for, checked: dict | None = None,
+                  signatures: SignatureMemo | None = None) -> Verdict:
     """Run the whole validation algorithm over one candidate chain.
     ``crls_for`` maps an issuer Name to its stored CRLs, freshest first.
-    ``checked`` holds edge and CRL-signature results, so candidate chains
-    that share edges or CRLs share their checks."""
+    ``checked`` holds edge and signature results, so candidate chains that
+    share edges or CRLs share their checks; ``signatures`` is the snapshot's
+    memo for signatures over its own certificates and CRLs."""
     if checked is None:
         checked = {}
     certs = chain.certs
@@ -212,7 +228,7 @@ def validate_path(chain: CandidateChain, at: datetime.datetime,
         self_issued = cert.is_self_issued
         reason, evidence = _once(
             checked, (issuer.der, cert.der, is_last), _edge, issuer, cert,
-            is_last, at, revocation_config, crls_for, checked)
+            is_last, at, revocation_config, crls_for, checked, signatures)
         if reason in _BEFORE_NAME_CONSTRAINTS:
             return invalid(reason, i)
         if not _check_name_constraints(cert.subject, constraints_acc):
@@ -257,27 +273,28 @@ def validate_path(chain: CandidateChain, at: datetime.datetime,
 def validate_target(graph: CertGraph, target: Certificate,
                     at: datetime.datetime, cpr: CprRequirement,
                     revocation_config: RevocationConfig, crls_for,
-                    max_length: int = 8,
-                    checked: dict | None = None) -> Verdict:
+                    max_length: int = 8, checked: dict | None = None,
+                    signatures: SignatureMemo | None = None) -> Verdict:
     """The first valid chain in discovery order, else the first candidate's
     verdict, else (no chain, or ``MAX_FULL_VALIDATIONS`` spent) an unknown
     one.  Past the first candidate, only chains whose every edge passes are
     validated.  The memo ``checked`` lives for one request at most (a fresh
-    one by default), so it never outlives the snapshot it was filled from."""
+    one by default), so it never outlives the snapshot it was filled from;
+    ``signatures`` belongs to the snapshot that ``crls_for`` reads."""
     if checked is None:
         checked = {}
     first = next(chains(graph, target, max_length), None)
     if first is None:
         return Verdict(VerdictStatus.UNKNOWN, at, unknown_cause=CAUSE_NO_PATH)
     verdict = validate_path(first, at, cpr, revocation_config, crls_for,
-                            checked)
+                            checked, signatures)
     if verdict.is_valid:
         return verdict
 
     def edge_ok(issuer: Certificate, cert: Certificate, is_last: bool):
         return _once(checked, (issuer.der, cert.der, is_last), _edge, issuer,
                      cert, is_last, at, revocation_config, crls_for,
-                     checked)[0] is None
+                     checked, signatures)[0] is None
 
     others = (chain for chain in chains(graph, target, max_length, edge_ok)
               if chain != first)
@@ -286,7 +303,7 @@ def validate_target(graph: CertGraph, target: Certificate,
             return Verdict(VerdictStatus.UNKNOWN, at,
                            unknown_cause=CAUSE_BUDGET)
         candidate = validate_path(chain, at, cpr, revocation_config,
-                                  crls_for, checked)
+                                  crls_for, checked, signatures)
         if candidate.is_valid:
             return candidate
     return verdict

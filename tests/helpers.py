@@ -1,14 +1,16 @@
 """Shared test utilities: lightweight certificate fabrication, the
 brute-force simple-path enumerator used as the discovery oracle, the
 validate-every-chain reference for target validation, a random DER value
-generator for round-trip properties, and a DVC rewriter that adds a junk
-entry to online-replies lists."""
+generator for round-trip properties, a DVC rewriter that adds a junk entry
+to online-replies lists, an unsigned DVC encoder and the policy graph
+unrolled into its tree."""
 
 import datetime
 import random
 
-from savacert import der, oids
+from savacert import der, oids, protocol
 from savacert.pathbuild import discover
+from savacert.policytree import ANY, PolicyState
 from savacert.validation import (
     Verdict,
     VerdictStatus,
@@ -61,6 +63,26 @@ def junk_in_replies(value: der.DerValue) -> der.DerValue:
             inner = der.Sequence([*inner.elements, der.Integer(5)])
         return der.ContextTagged(value.number, inner)
     return value
+
+
+def unsigned_dvc(info: protocol.DvcInfo) -> bytes:
+    """The DVC envelope with no signer and no signature."""
+    return der.encode(der.ContextTagged(protocol._KIND_DVC, der.Sequence(
+        [protocol.dvc_info_value(info)])))
+
+
+def tree_paths(state: PolicyState) -> frozenset:
+    """The policy graph unrolled into the valid_policy_tree's root-to-leaf
+    paths of (valid policy, expected set); every copy of a policy at one
+    depth has the same expected set, so the unrolled graph is the tree."""
+    if state.tree is None:
+        return frozenset()
+    paths = {ANY: [((ANY, frozenset({ANY})),)]}
+    for level in state.tree[1:]:
+        paths = {policy: [path + ((policy, expected),)
+                          for parent in above for path in paths[parent]]
+                 for policy, (expected, above) in level.items()}
+    return frozenset(path for unrolled in paths.values() for path in unrolled)
 
 
 def all_simple_paths(certificates, anchors, target, max_length):

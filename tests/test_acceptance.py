@@ -31,6 +31,7 @@ from helpers import (
     discovery_order,
     random_cert_graph,
     random_der_value,
+    unsigned_dvc,
 )
 from test_policytree import _random_cpr, _random_step, assert_matches_oracle
 from test_validation import GOLDEN, cpr_from_options
@@ -211,7 +212,7 @@ def test_criterion_5_protocol_invariants(scenarios, server_factory):
             protocol.verify_response(
                 protocol.parse_response(bytes(tampered)), request.info,
                 protocol.ResponseTrust())
-        unsigned = protocol.unsigned_dvc(response.info)
+        unsigned = unsigned_dvc(response.info)
         with pytest.raises(protocol.UnsignedRejected):
             protocol.verify_response(
                 protocol.parse_response(unsigned), request.info,

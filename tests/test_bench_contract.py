@@ -69,6 +69,10 @@ def test_traced_bench_run_is_correct():
     # every other chain: about one full validation per target
     per_target = metrics["validation.validate_path_calls_per_target"]
     assert per_target["value"] <= 1.05, per_target
+    # every signature checked is over a stored certificate or CRL, which
+    # the snapshot verifies once, not once per request
+    verifies = metrics["crypto.verify_calls_per_dvc"]
+    assert verifies["value"] <= 1.0, verifies
 
 
 def test_traced_online_bench_run_is_correct():

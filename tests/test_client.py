@@ -13,7 +13,7 @@ from savacert.storage import Clock
 from savacert.validation import VerdictStatus
 
 from conftest import NOW, NOW_TEXT, SERVER_NAME
-from helpers import junk_in_replies
+from helpers import junk_in_replies, unsigned_dvc
 
 P_HIGH = forge.POLICY_HIGH
 
@@ -217,7 +217,7 @@ def test_unsigned_response_per_profile(scenarios, server_identity,
     def transform(body):
         request = protocol.parse_request(body)
         info = protocol.DvcInfo(1, NOW, request.info, (_result_for(request),))
-        return protocol.unsigned_dvc(info)
+        return unsigned_dvc(info)
 
     double = fault_server(transform)
     strict = make_profile(double.url, server_identity,

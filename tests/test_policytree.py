@@ -12,7 +12,7 @@ from savacert.certs import (
 )
 from savacert.der import Oid
 
-from helpers import fabricate_cert
+from helpers import fabricate_cert, tree_paths
 from policy_oracle import simulate
 
 P1 = Oid("1.3.6.1.4.1.57264.8.1")
@@ -179,7 +179,7 @@ def assert_matches_oracle(steps, cpr):
     assert tuple((str(a), str(b)) for a, b in out.mappings_applied) \
         == expected["applied"], (steps, cpr)
     got_tree = {tuple((str(p), frozenset(map(str, e))) for p, e in path)
-                for path in pt.tree_paths(state)}
+                for path in tree_paths(state)}
     want_tree = {tuple((p, frozenset(e)) for p, e in path)
                  for path in expected["tree"]}
     assert got_tree == want_tree, (steps, cpr)

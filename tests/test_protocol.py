@@ -18,7 +18,7 @@ from savacert.storage import Repository
 from savacert.validation import FailureReason, VerdictStatus
 
 from conftest import NOW
-from helpers import fabricate_cert, junk_in_replies
+from helpers import fabricate_cert, junk_in_replies, unsigned_dvc
 
 P1 = Oid("1.3.6.1.4.1.57264.8.1")
 
@@ -302,7 +302,7 @@ def test_junk_reply_entry_is_malformed(happy, server_identity, server_key):
 
 def test_unsigned_response_policy(happy, server_identity, server_key):
     request, info = _dvc(happy, server_identity, server_key)
-    raw = protocol.unsigned_dvc(info)
+    raw = unsigned_dvc(info)
     parsed = protocol.parse_response(raw)
     with pytest.raises(protocol.UnsignedRejected):
         protocol.verify_response(parsed, request.info,

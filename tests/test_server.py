@@ -7,6 +7,7 @@ import re
 import shutil
 import socket
 import socketserver
+import sys
 import threading
 import urllib.request
 
@@ -26,6 +27,7 @@ from savacert.der import (
 )
 from savacert.policytree import CprRequirement
 from savacert.protocol import ErrorCode, ErrorNotice, WantBack
+from savacert.storage import Repository
 from savacert.validation import FailureReason, VerdictStatus
 
 from conftest import (
@@ -477,8 +479,9 @@ def test_request_work_does_not_grow_with_the_repository(
 
 def test_targets_of_one_request_share_signature_checks(happy_core, scenarios,
                                                       monkeypatch):
-    # ee's chain holds two certificate and two CRL signatures; naming ee
-    # twice in one request checks each of them once
+    # ee's chain holds two certificate and two CRL signatures, all stored:
+    # naming ee twice in a fresh core's first request checks each at most
+    # once, and a repeat request finds them in the snapshot's memo
     verify = crypto.verify
     calls = []
 
@@ -488,12 +491,132 @@ def test_targets_of_one_request_share_signature_checks(happy_core, scenarios,
 
     monkeypatch.setattr(crypto, "verify", counted)
     ee = scenarios.cert("happy3", "ee", "sub")
-    for targets in ([ee], [ee, ee]):
+    counts = []
+    for _ in range(2):
         calls.clear()
-        response = send(happy_core, build(targets))
+        response = send(happy_core, build([ee, ee]))
         assert [r.status for r in response.info.results] == (
-            [VerdictStatus.VALID] * len(targets))
-        assert len(calls) == 4
+            [VerdictStatus.VALID] * 2)
+        counts.append(len(calls))
+    assert counts[0] <= 4 and counts[1] == 0, counts
+
+
+def _assert_memo_within_stored_pairs(repository):
+    # every verdict is for a stored (issuer, signed object) pair, and no
+    # request can add more than the snapshot's own pairs
+    stored = list(repository.index.nodes.values())
+    pairs = {(issuer.public_key, signed.der) for issuer in stored
+             for signed in [*stored, *repository.crls_for(issuer.subject)]
+             if signed.issuer == issuer.subject}
+    verdicts = repository.signatures.verdicts
+    assert set(verdicts) <= pairs and len(verdicts) <= len(pairs)
+
+
+def test_stored_bad_signature_fails_on_every_request(tmp_path,
+                                                     server_identity,
+                                                     scenarios):
+    core = make_core(tmp_path, server_identity,
+                     scenarios.layout("bad-signature").out_dir)
+    ee = scenarios.cert("bad-signature", "ee", "sub")
+    for _ in range(2):
+        result = send(core, build([ee])).info.results[0]
+        assert (result.status, result.reason) == (
+            VerdictStatus.INVALID, FailureReason.BAD_SIGNATURE)
+    assert False in core.repository.signatures.verdicts.values()
+    _assert_memo_within_stored_pairs(core.repository)
+
+
+def test_supplied_issuer_key_is_checked_on_every_request(
+        happy_core, scenarios, monkeypatch):
+    # a supplied certificate names the stored "sub" but carries a foreign
+    # key, and the target claims that key: every signature checked under
+    # it (over the target and over sub's stored CRL) is the request's own
+    layout = scenarios.layout("happy3")
+    root_key = crypto.decode_key(layout.keys["root"].read_bytes())
+    foreign = crypto.generate(b"foreign sub key")
+    sub = scenarios.cert("happy3", "sub", "root")
+    ee = scenarios.cert("happy3", "ee", "sub")
+
+    def resign(cert, public_key, issuer_key):
+        return certs.sign_certificate(
+            serial=cert.serial + 100, issuer=cert.issuer,
+            subject=cert.subject, not_before=cert.not_before,
+            not_after=cert.not_after, public_key_alg=cert.public_key_alg,
+            public_key=public_key, extensions=cert.extensions,
+            issuer_key=issuer_key)
+
+    fake_sub = resign(sub, foreign.public_key, root_key)
+    target = resign(ee, ee.public_key, foreign)
+    verify = crypto.verify
+    under_foreign = []
+
+    def counted(public_key, *args):
+        if public_key == foreign.public_key:
+            under_foreign.append(args)
+        return verify(public_key, *args)
+
+    monkeypatch.setattr(crypto, "verify", counted)
+    counts = []
+    for _ in range(2):
+        under_foreign.clear()
+        send(happy_core, build([target], supplied_chains=[fake_sub]))
+        counts.append(len(under_foreign))
+    assert counts[0] == counts[1] >= 2, counts
+    verdicts = happy_core.repository.signatures.verdicts
+    assert verdicts and foreign.public_key not in {k for k, _ in verdicts}
+    _assert_memo_within_stored_pairs(happy_core.repository)
+
+
+def test_reloaded_repository_starts_with_an_empty_memo(happy_core,
+                                                       scenarios):
+    ee = scenarios.cert("happy3", "ee", "sub")
+    send(happy_core, build([ee]))
+    assert happy_core.repository.signatures.verdicts
+    reloaded = Repository.load(happy_core.config.repository)
+    assert reloaded.signatures.verdicts == {}
+
+
+def test_concurrent_requests_fill_one_memo(tmp_path, server_identity,
+                                           scenarios):
+    # handler threads race to fill the snapshot's memo without a lock: each
+    # gets the answers of a lone request, and the memo ends as one request
+    # alone leaves it
+    layout = scenarios.layout("bad-signature").out_dir
+    targets = [scenarios.cert("bad-signature", "ee", "sub"),
+               scenarios.cert("bad-signature", "sub", "root")]
+    expected = [(VerdictStatus.INVALID, FailureReason.BAD_SIGNATURE),
+                (VerdictStatus.VALID, None)]
+    alone, shared = tmp_path / "alone", tmp_path / "shared"
+    alone.mkdir()
+    shared.mkdir()
+    reference = make_core(alone, server_identity, layout)
+    send(reference, build(targets))
+    core = make_core(shared, server_identity, layout)
+    start = threading.Barrier(8)
+    outcomes = []
+    lock = threading.Lock()
+
+    def worker():
+        start.wait(timeout=10)
+        for _ in range(3):
+            results = send(core, build(targets)).info.results
+            with lock:
+                outcomes.append([(r.status, r.reason) for r in results])
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [expected] * 24
+    assert (core.repository.signatures.verdicts
+            == reference.repository.signatures.verdicts)
 
 
 def test_want_backs_selection(happy_core, scenarios):
